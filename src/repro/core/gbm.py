@@ -97,9 +97,7 @@ class GradientBoosting:
             path = g.path(fact, g.y_relation)
             for i in range(len(path) - 1):
                 nxt = path[i + 1]
-                edge = next(
-                    e for e in g.edges if e.touches(path[i]) and e.touches(nxt)
-                )
+                edge = g.edge(path[i], nxt)
                 keep_cols = df.columns
                 nxt_df = g.relations[nxt].df
                 proj = list(edge.keys) + (

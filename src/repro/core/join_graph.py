@@ -115,6 +115,13 @@ class JoinGraph:
     def neighbors(self, name: str) -> List[Tuple[Edge, str]]:
         return [(e, e.other(name)) for e in self.edges if e.touches(name)]
 
+    def edge(self, a: str, b: str) -> Edge:
+        """The edge joining ``a`` and ``b``, whichever side each is on."""
+        for e in self.edges:
+            if {e.many, e.one} == {a, b}:
+                return e
+        raise ValueError(f"no edge between {a!r} and {b!r}")
+
     def feature_relation(self, feature: str) -> str:
         """The relation holding ``feature`` (features must be unique)."""
         rels = [r.name for r in self.relations.values() if feature in r.features]

@@ -195,9 +195,7 @@ class MessageEngine:
         Returns None when the identity-message optimization applies.
         The message schema is ``edge keys + semi-ring columns``.
         """
-        edge = next(
-            e for e in self.graph.edges if e.touches(src) and e.touches(dst)
-        )
+        edge = self.graph.edge(src, dst)
         subtree = self._subtree(src, dst)
         key = (
             src,

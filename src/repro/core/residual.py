@@ -6,9 +6,12 @@ the fact table alone by walking each referenced relation's join path
 back to the fact and turning every hop into a semi-join
 (``key IN (SELECT key FROM σ(D))``, paper §4.1). Dimensions are small
 by assumption, so the matching key sets are collected to the driver and
-inlined as ``isin`` lists — this keeps the final update a *single*
+inlined by :func:`key_filter` as one SQL ``key IN (v₁, v₂, …)`` string,
+one JVM call however many keys. This keeps the final update a *single*
 narrow expression over F, which is what makes the CREATE/SWAP
-strategies cheap.
+strategies cheap. :func:`fact_condition` is the one push-down shared by
+the snowflake update, the galaxy update and the star trainer's node
+filter.
 
 **Update strategies** (paper Fig 5 / Fig 15):
 
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import Column, DataFrame
@@ -42,6 +46,42 @@ from pyspark.sql import Column, DataFrame
 from .join_graph import JoinGraph
 from .semiring import PREFIX
 from .tree import DecisionTree, Node, Pred
+
+
+def _sql_literal(column: str, value) -> str:
+    """One join-key value as a Spark SQL literal.
+
+    Integers render as decimal; strings single-quoted with ``\\`` and
+    ``'`` escaped, and ``${`` broken up so the parser's variable
+    substitution cannot rewrite the key (assumes the default
+    ``spark.sql.parser.escapedStringLiterals=false``). Any other type
+    raises rather than risk a filter that silently matches other rows.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, str):
+        escaped = value.replace("\\", "\\\\").replace("'", "\\'")
+        return "'" + escaped.replace("${", "$\\{") + "'"
+    raise TypeError(
+        f"cannot push down a key filter on column {column!r}: unsupported "
+        f"key type {type(value).__name__} ({value!r}); only integer and "
+        "string keys are supported"
+    )
+
+
+def key_filter(column: str, values: Sequence) -> Column:
+    """``column IN (values)`` as one parsed SQL expression.
+
+    ``Column.isin`` crosses py4j once per literal; this builds the same
+    ``In`` predicate (which Catalyst turns into ``InSet`` above 10
+    literals either way) from a single string. An empty key set is
+    FALSE, as ``isin([])`` is, since SQL ``k IN ()`` does not parse.
+    """
+    if len(values) == 0:
+        return F.lit(False)
+    name = "`" + column.replace("`", "``") + "`"
+    literals = ", ".join(_sql_literal(column, v) for v in values)
+    return F.expr(f"{name} IN ({literals})")
 
 
 def push_keys_to(
@@ -71,8 +111,6 @@ def push_keys_to(
         """σ over relation ``name`` (pred filter and/or key filter) → out keys."""
         if tables is not None and name in tables:
             pdf = tables[name]
-            import numpy as np
-
             mask = np.ones(len(pdf), dtype=bool)
             if name == relation:
                 for p in preds:
@@ -85,13 +123,13 @@ def push_keys_to(
             for p in preds:
                 df = df.filter(p.col())
         if key_in is not None:
-            df = df.filter(F.col(key_in).isin(key_vals))
+            df = df.filter(key_filter(key_in, key_vals))
         return [r[0] for r in df.select(out_key).distinct().collect()]
 
     key_in, key_vals = None, None
     for i in range(len(path) - 1):
         cur, nxt = path[i], path[i + 1]
-        edge = next(e for e in graph.edges if e.touches(cur) and e.touches(nxt))
+        edge = graph.edge(cur, nxt)
         if len(edge.keys) != 1:
             raise NotImplementedError("multi-column join keys on semi-join path")
         key = edge.keys[0]
@@ -101,6 +139,29 @@ def push_keys_to(
         key_in, key_vals = key, values
     # relation == target: predicates already reference target's columns
     raise AssertionError("unreachable: path has ≥2 relations when relation != target")
+
+
+def fact_condition(
+    graph: JoinGraph,
+    fact: str,
+    preds_by_relation: Mapping[str, Sequence[Pred]],
+    tables: Optional[Dict[str, "pd.DataFrame"]] = None,
+) -> Column:
+    """Predicates grouped by their relation, as one predicate over ``fact``.
+
+    Predicates on ``fact`` apply as they are; those on any other
+    relation become a :func:`key_filter` on the keys
+    :func:`push_keys_to` collects.
+    """
+    cond = F.lit(True)
+    for rel, preds in sorted(preds_by_relation.items()):
+        if rel == fact:
+            for p in preds:
+                cond = cond & p.col()
+        else:
+            key, values = push_keys_to(graph, fact, rel, preds, tables)
+            cond = cond & key_filter(key, values)
+    return cond
 
 
 def leaf_condition(
@@ -113,15 +174,7 @@ def leaf_condition(
     by_rel: Dict[str, List[Pred]] = {}
     for p in leaf.preds:
         by_rel.setdefault(graph.feature_relation(p.feature), []).append(p)
-    cond = F.lit(True)
-    for rel, preds in sorted(by_rel.items()):
-        if rel == fact:
-            for p in preds:
-                cond = cond & p.col()
-        else:
-            key, values = push_keys_to(graph, fact, rel, preds, tables)
-            cond = cond & F.col(key).isin(values)
-    return cond
+    return fact_condition(graph, fact, by_rel, tables)
 
 
 def _case_new_s(
@@ -253,12 +306,7 @@ class SnowflakeResidualUpdater:
                 cols.add(f)
             else:
                 path = self.graph.path(self.fact, rel)
-                edge = next(
-                    e
-                    for e in self.graph.edges
-                    if e.touches(path[0]) and e.touches(path[1])
-                )
-                cols.add(edge.keys[0])
+                cols.add(self.graph.edge(path[0], path[1]).keys[0])
         return sorted(cols)
 
     def rmse(self) -> float:

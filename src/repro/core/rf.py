@@ -190,9 +190,7 @@ def ancestral_sample(
             idx = rng.choice(len(pdf), size=n, replace=True, p=p)
             out = pdf.iloc[idx][keep].reset_index(drop=True)
         else:
-            edge = next(
-                e for e in graph.edges if e.touches(name) and e.touches(parent)
-            )
+            edge = graph.edge(name, parent)
             key = list(edge.keys)
             # conditional draw per sampled parent row, grouped by key
             chosen_rows = []

@@ -35,12 +35,12 @@ import heapq
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
+from .residual import fact_condition
 from .semiring import PREFIX
 from .split import Split, best_split_np, pick
 from .trainer import TrainParams
@@ -74,19 +74,13 @@ class StarTreeTrainer:
             if rel == self.hub:
                 self.feature_col[f] = (f, None)
             else:
-                edge = next(
-                    (
-                        e
-                        for e in graph.edges
-                        if e.many == self.hub and e.one == rel
-                    ),
-                    None,
-                )
-                if edge is None:
+                try:
+                    edge = graph.edge(self.hub, rel)
+                except ValueError:
                     raise ValueError(
                         f"feature relation {rel!r} is not adjacent to the "
                         f"fact {self.hub!r} — use FactorizedTreeTrainer"
-                    )
+                    ) from None
                 self.feature_col[f] = (edge.keys[0], rel)
         # dimensions live on the driver: they are small by the paper's
         # own premise (<2MB each for Favorita)
@@ -121,32 +115,15 @@ class StarTreeTrainer:
         self._memo.clear()
 
     # -- node evaluation -------------------------------------------------
-    def _fact_filter(self, ctx: PredContext) -> Column:
-        cond = F.lit(True)
-        for rel, preds in sorted(ctx.items()):
-            if rel == self.hub:
-                for p in preds:
-                    cond = cond & p.col()
-            else:
-                pdf = self.dim_pandas[rel]
-                mask = np.ones(len(pdf), dtype=bool)
-                for p in preds:
-                    mask &= p.mask(pdf)
-                edge = next(
-                    e for e in self.graph.edges
-                    if e.many == self.hub and e.one == rel
-                )
-                keys = pdf.loc[mask, edge.keys[0]].tolist()
-                cond = cond & F.col(edge.keys[0]).isin(keys)
-        return cond
-
     def _node_stats(self, ctx: PredContext, cols: Sequence[str]) -> pd.DataFrame:
         """The node's batched message table (memoized per context)."""
         key = _ctx_key(ctx)
         if key in self._memo:
             return self._memo[key]
         assert self.fact is not None, "set_fact() before training"
-        df = self.fact.filter(self._fact_filter(ctx))
+        df = self.fact.filter(
+            fact_condition(self.graph, self.hub, ctx, self.dim_pandas)
+        )
         sets = [[c] for c in cols] + [[]]
         out = (
             df.groupingSets(sets, *cols)

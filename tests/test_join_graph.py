@@ -92,6 +92,19 @@ class TestStructure:
         ]
         assert chain_graph.path("customer", "customer") == ["customer"]
 
+    def test_edge_either_direction(self, spark):
+        g = _mini_graph(spark)
+        e = g.edge("f", "a")
+        assert (e.many, e.one, e.keys) == ("f", "a", ("ka",))
+        assert g.edge("a", "f") is e
+
+    def test_edge_missing(self, spark):
+        g = _mini_graph(spark)
+        with pytest.raises(ValueError, match="no edge between 'a' and 'b'"):
+            g.edge("a", "b")
+        with pytest.raises(ValueError, match="no edge"):
+            g.edge("f", "f")
+
     def test_schedule_covers_all_edges(self, favorita_tiny):
         g = favorita_tiny.graph
         sched = g.message_schedule("sales")

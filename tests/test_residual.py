@@ -1,12 +1,18 @@
 """Residual updates (paper §§4.1, 5.3, 5.4): push-down and strategies."""
+import datetime
+
 import numpy as np
 import pandas as pd
 import pytest
 
 import pyspark.sql.functions as F
 
+from repro.baselines.npgbm import NpGBM
+from repro.core.gbm import GradientBoosting
+from repro.core.join_graph import JoinGraph
 from repro.core.residual import (
     SnowflakeResidualUpdater,
+    key_filter,
     leaf_condition,
     push_keys_to,
 )
@@ -14,6 +20,12 @@ from repro.core.semiring import PREFIX, VarianceSemiring
 from repro.core.star_trainer import StarTreeTrainer
 from repro.core.trainer import TrainParams
 from repro.core.tree import DecisionTree, Node, Pred
+
+#: string join keys a naive SQL rendering would mangle
+ODD_KEYS = [
+    "a'b", "c\\d", "it\\'s", "''", "\\", "${spark.app.name}", "$\\{x}", "plain",
+    "tab\there", "é ✓",
+]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +87,129 @@ class TestPushDown:
             assert n_fact == int(m.sum())
             total += n_fact
         assert total == len(wide)  # leaves partition the fact
+
+
+@pytest.fixture(scope="module")
+def star_str(spark):
+    """A one-dimension star joined on string keys containing ``'``, ``\\``
+    and ``${…}``."""
+    rng = np.random.default_rng(5)
+    dim = pd.DataFrame({"k": ODD_KEYS, "fd": np.arange(1, len(ODD_KEYS) + 1)})
+    fact = pd.DataFrame(
+        {"k": rng.choice(ODD_KEYS, 300), "y": rng.integers(0, 50, 300).astype(float)}
+    )
+    g = JoinGraph()
+    g.add_relation("fact", spark.createDataFrame(fact), y="y")
+    g.add_relation("dim", spark.createDataFrame(dim), features=["fd"], numeric=["fd"])
+    g.add_edge("fact", "dim", ["k"])
+    return g, fact.merge(dim, on="k")
+
+
+class TestKeyFilter:
+    """The one SQL ``IN`` builder every pushed-down key set goes through."""
+
+    def test_string_keys_count_like_isin(self, star_str):
+        g, wide = star_str
+        fact = g.relations["fact"].df
+        subsets = [[k] for k in ODD_KEYS] + [ODD_KEYS, ODD_KEYS[::2], ODD_KEYS[1::3]]
+        for keys in subsets:
+            n = fact.filter(key_filter("k", keys)).count()
+            assert n == fact.filter(F.col("k").isin(keys)).count()
+            assert n == int(wide["k"].isin(keys).sum())
+
+    def test_string_keys_through_leaf_and_star_filters(self, star_str):
+        g, wide = star_str
+        pred = Pred("fd", 5, True, True)
+        sel = wide[wide["fd"] <= 5]
+        leaf = Node(0, 1, preds=[pred])
+        for tables in (None, {"dim": g.relations["dim"].df.toPandas()}):
+            cond = leaf_condition(g, "fact", leaf, tables)
+            assert g.relations["fact"].df.filter(cond).count() == len(sel)
+        st = StarTreeTrainer(g, TrainParams(max_leaves=4))
+        st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["fact"].df, "y"))
+        cols = st._grouping_cols(["fd"])
+        c, s = st._totals(st._node_stats({"dim": (pred,)}, cols), cols)
+        assert (c, s) == (len(sel), sel["y"].sum())
+
+    def test_integer_keys(self, favorita_tiny):
+        fact = favorita_tiny.graph.relations["sales"].df
+        keys = [3, 17, 2**40, -1]
+        expect = fact.filter(F.col("store_id").isin(keys)).count()
+        assert expect > 0
+        assert fact.filter(key_filter("store_id", keys)).count() == expect
+        np_keys = list(np.array(keys, dtype="int64"))
+        assert fact.filter(key_filter("store_id", np_keys)).count() == expect
+
+    def test_backticked_column_name(self, spark):
+        df = spark.createDataFrame([(1,), (2,), (3,)], ["k`ey"])
+        assert df.filter(key_filter("k`ey", [1, 3])).count() == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, np.float64(2.0), float("nan"), None, datetime.date(2020, 1, 1), True],
+    )
+    def test_unsupported_key_type_raises(self, bad):
+        with pytest.raises(TypeError, match=rf"'store_id'.*{type(bad).__name__}"):
+            key_filter("store_id", [1, bad])
+
+    def test_empty_key_set_selects_nothing(self, favorita_tiny):
+        """``f_store`` is in [1, 1000], so ``f_store <= 0`` pushes down no
+        store keys: the fact filter must be FALSE, not a parse error."""
+        g = favorita_tiny.graph
+        pred = Pred("f_store", 0, True, True)
+        _, values = push_keys_to(g, "sales", "stores", [pred], favorita_tiny.dims)
+        assert values == []
+        cond = leaf_condition(g, "sales", Node(0, 1, preds=[pred]), favorita_tiny.dims)
+        assert g.relations["sales"].df.filter(cond).count() == 0
+        st = StarTreeTrainer(g, TrainParams(max_leaves=4))
+        st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["sales"].df, "y"))
+        cols = st._grouping_cols([f for f, _, _ in g.all_features()])
+        stats = st._node_stats({"stores": (pred,)}, cols)
+        assert st._totals(stats, cols) == (0.0, 0.0)
+
+    def test_empty_intermediate_hop(self, chain_graph):
+        """An empty key set mid-path (Spark hop, no driver tables)."""
+        preds = [Pred("c_acctbal", -1e12, True, True)]
+        key, values = push_keys_to(chain_graph, "lineitem", "customer", preds)
+        assert key == "l_orderkey" and values == []
+
+
+class TestNoPerLiteralMarshalling:
+    """With ``Column.isin`` unusable, fits still run and stay exact: no
+    key set reaches Spark one py4j call per literal."""
+
+    @pytest.fixture
+    def no_isin(self, monkeypatch):
+        from pyspark.sql.classic.column import Column
+
+        def refuse(self, *cols):
+            raise AssertionError("Column.isin called")
+
+        monkeypatch.setattr(Column, "isin", refuse)
+
+    def test_snowflake_gbm_matches_npgbm(self, no_isin, star_int):
+        params = TrainParams(max_leaves=4)
+        res = GradientBoosting(
+            star_int.graph, n_iters=2, learning_rate=0.1, params=params,
+            strategy="swap",
+        ).fit()
+        feats = [f for f, _, _ in star_int.graph.all_features()]
+        res_np = NpGBM(
+            star_int.wide_pandas(), feats, feats, "y", n_iters=2,
+            learning_rate=0.1, params=params,
+        ).fit()
+        for a, b in zip(res.ensemble.trees, res_np.ensemble.trees):
+            assert a.to_dict() == b.to_dict()
+
+    def test_galaxy_update_runs(self, no_isin, imdb_tiny):
+        """The galaxy annotation update pushes keys through Spark hops."""
+        res = GradientBoosting(
+            imdb_tiny.graph, n_iters=1, learning_rate=0.3,
+            params=TrainParams(max_leaves=3), track_rmse=True,
+        ).fit()
+        assert res.ensemble.trees[0].n_leaves() > 1
+        expect = res.ensemble.rmse_np(imdb_tiny.wide_pandas(), "rating")
+        assert res.logs[-1].rmse == pytest.approx(expect, rel=1e-6)
 
 
 def _make_updater(favorita_tiny, strategy, payload=(), dim_pandas=None):
