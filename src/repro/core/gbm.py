@@ -14,6 +14,12 @@ Two schema paths, selected automatically from the join graph:
   via ``⊗ lift(−lr·p)`` (addition-to-multiplication preserving). All
   aggregates the next tree needs come out of message passing over the
   annotated graph; model rmse is read off the global ``(C, S, Q)``.
+  When every cluster is a star around its fact, trees grow on the
+  batched star path over each cluster's lifted fact (one
+  :class:`StarTreeTrainer` per cluster); otherwise, and with
+  ``fast=False``, on the general :class:`FactorizedTreeTrainer`.
+  Leaf predicates are pushed down to the cluster fact against the star
+  path's driver-side dimensions.
 
 Iteration timings are recorded per tree (train vs update split) for
 the T2/T4/T5/T7 table harnesses.
@@ -27,6 +33,7 @@ from typing import List, Optional, Sequence
 import pyspark.sql.functions as F
 
 from .join_graph import JoinGraph
+from .messages import MessageEngine
 from .residual import GalaxyAnnotationUpdater, SnowflakeResidualUpdater
 from .semiring import PREFIX, VarianceSemiring
 from .star_trainer import StarTreeTrainer
@@ -176,11 +183,35 @@ class GradientBoosting:
         return [c for c in dict.fromkeys(cols) if c in fact_y.columns]
 
     # -- galaxy ---------------------------------------------------------
+    def _cluster_stars(self, sr: VarianceSemiring) -> List[StarTreeTrainer]:
+        """One star trainer per CPT cluster, sharing a message engine and
+        the driver-side dimensions; empty unless every feature lies in a
+        cluster whose feature relations are its fact or adjacent to it."""
+        g = self.graph
+        clusters = g.clusters()
+        if not clusters or not all(
+            any(r in m for m in clusters.values()) for _, r, _ in g.all_features()
+        ):
+            return []
+        engine = MessageEngine(g, sr, eager=False)
+        tables: dict = {}
+        try:
+            return [
+                StarTreeTrainer(g, self.params, hub=h, engine=engine, tables=tables)
+                for h in sorted(clusters)
+            ]
+        except ValueError:
+            return []
+
     def _fit_galaxy(self) -> GradientBoostingResult:
         g = self.graph
         sr = VarianceSemiring(track_q=True)
-        trainer = FactorizedTreeTrainer(g, sr, self.params)
-        engine = trainer.engine
+        # Prefer the batched star path per cluster (one GROUPING SETS job
+        # per node over the cluster's lifted fact, see star_trainer.py);
+        # fall back to general message passing otherwise.
+        stars = self._cluster_stars(sr) if self.fast else []
+        trainer = None if stars else FactorizedTreeTrainer(g, sr, self.params)
+        engine = stars[0].engine if stars else trainer.engine
         y_rel, y = g.y_relation, g.y_column
         # base score = mean of Y over R⋈ (weighted by join multiplicity)
         engine.lift_y()
@@ -194,13 +225,17 @@ class GradientBoosting:
         # If R_Y is itself a cluster fact, its update annotations must
         # compose with (not replace) the Y lift.
         updater = GalaxyAnnotationUpdater(
-            g, learning_rate=self.lr, initial={y_rel: y_lifted}
+            g, learning_rate=self.lr, initial={y_rel: y_lifted},
+            dim_pandas=stars[0].dim_pandas if stars else None,
         )
         ens = TreeEnsemble(base_score=base, learning_rate=self.lr)
         logs: List[IterationLog] = []
         for _ in range(self.n_iters):
             t0 = time.perf_counter()
-            tree = trainer.train(cpt=True)
+            if stars:
+                tree = stars[0].train(others=stars[1:])
+            else:
+                tree = trainer.train(cpt=True)
             t1 = time.perf_counter()
             new_ann = updater.update(tree)
             fact = tree.cluster
@@ -218,6 +253,7 @@ class GradientBoosting:
                     rmse=rmse,
                 )
             )
+        engine.clear_cache()
         self._updater = updater
         self._engine = engine
         return GradientBoostingResult(ens, logs)

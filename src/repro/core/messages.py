@@ -261,6 +261,17 @@ class MessageEngine:
             return df.agg(*self.semiring.sum_exprs())
         return df.groupBy(group_by).agg(*self.semiring.sum_exprs())
 
+    def lifted(self, name: str) -> DataFrame:
+        """Relation ``name`` with every incoming message multiplied in.
+
+        Each row's semi-ring columns are then the sum over the ``R⋈``
+        rows it joins, so any group-by over ``name``'s own columns (its
+        join keys included) equals that group-by over ``R⋈``: the lifted
+        cluster fact the galaxy star path aggregates (paper §4.2).
+        """
+        df, ann = self._gather(name, None, {})
+        return df if ann else df.withColumns(self.semiring.identity_exprs())
+
     def aggregate_feature(self, feature: str, context: Context) -> DataFrame:
         """Per-feature-value semi-ring sums: root at the feature's relation."""
         return self.absorb(self.graph.feature_relation(feature), feature, context)

@@ -24,22 +24,39 @@ supported backend). Aggregation pushdown is identical: the fact is
 aggregated by join key *before* any contact with the dimensions, and
 ``R⋈`` is never materialized.
 
-Requirements (checked at init): a snowflake star where every feature
-relation is the fact itself or directly adjacent to it, and only the
-fact carries annotations. Deeper snowflakes and galaxy schemas use the
-general engine.
+The hub is the fact the batch aggregates. Requirement (checked at
+init): every feature relation of the hub's cluster is the hub itself or
+directly adjacent to it, and only the hub carries annotations. Deeper
+schemas use the general engine.
+
+* **Snowflake** (§4.1): the hub is the single fact, and the caller
+  installs its annotated copy (the residual column) with
+  :meth:`StarTreeTrainer.set_fact`.
+* **Galaxy** (§4.2.2): one trainer per CPT cluster, built with
+  ``hub=`` the cluster fact and ``engine=`` the message engine that
+  holds the galaxy's annotations. Under CPT every split below the root
+  uses only the locked cluster's features, and that cluster is a star,
+  so every node is a star problem over the cluster's *lifted* fact
+  ``L_k`` — F_k's annotation ⊗ the message from each neighbour
+  (:meth:`~repro.core.messages.MessageEngine.lifted`), which carries
+  Y's lift and the other clusters' update annotations.
+  :meth:`StarTreeTrainer.train`, called on one cluster's trainer with
+  the others as ``others``, lifts each fact once per tree, runs one
+  root job per cluster, keeps the best root split across clusters and
+  grows on in that cluster from its memoized root stats.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
+from .messages import MessageEngine
 from .residual import fact_condition
 from .semiring import PREFIX
 from .split import Split, best_split_np, pick
@@ -61,16 +78,31 @@ class StarTreeTrainer:
         self,
         graph: JoinGraph,
         params: Optional[TrainParams] = None,
+        hub: Optional[str] = None,
+        engine: Optional[MessageEngine] = None,
+        tables: Optional[Dict[str, pd.DataFrame]] = None,
     ) -> None:
+        """``hub`` defaults to the single fact of a snowflake; a galaxy
+        names a cluster fact and passes the ``engine`` to lift it from.
+        ``tables`` is a dict of driver-side relations to share between
+        trainers; missing dimensions are collected into it."""
         graph.validate_tree()
-        if not graph.is_snowflake():
-            raise ValueError("StarTreeTrainer requires a snowflake schema")
+        clusters = graph.clusters()
+        if hub is None:
+            if not graph.is_snowflake():
+                raise ValueError("StarTreeTrainer requires a snowflake schema")
+            hub = next(iter(clusters))
+        members = clusters[hub]
         self.graph = graph
         self.params = params or TrainParams()
-        self.hub = next(iter(graph.clusters()))
-        # feature → (fact-side grouping column, dim name or None)
+        self.hub = hub
+        self.engine = engine
+        # feature → (fact-side grouping column, dim name or None), over
+        # the features of the hub's cluster
         self.feature_col: Dict[str, Tuple[str, Optional[str]]] = {}
         for f, rel, num in graph.all_features():
+            if rel not in members:
+                continue
             if rel == self.hub:
                 self.feature_col[f] = (f, None)
             else:
@@ -84,11 +116,10 @@ class StarTreeTrainer:
                 self.feature_col[f] = (edge.keys[0], rel)
         # dimensions live on the driver: they are small by the paper's
         # own premise (<2MB each for Favorita)
-        self.dim_pandas: Dict[str, pd.DataFrame] = {
-            name: rel.df.toPandas()
-            for name, rel in graph.relations.items()
-            if name != self.hub
-        }
+        self.dim_pandas: Dict[str, pd.DataFrame] = {} if tables is None else tables
+        for name in sorted(members - {self.hub}):
+            if name not in self.dim_pandas:
+                self.dim_pandas[name] = graph.relations[name].df.toPandas()
         self.fact: Optional[DataFrame] = None
         self._ids = itertools.count()
         self._memo: Dict[frozenset, pd.DataFrame] = {}
@@ -198,9 +229,9 @@ class StarTreeTrainer:
         c_tot: float,
         s_tot: float,
         allowed: Sequence[Tuple[str, str, bool]],
+        cols: Sequence[str],
     ) -> Optional[Split]:
         p = self.params
-        cols = self._grouping_cols([f for f, _, _ in allowed])
         stats = self._node_stats(ctx, cols)
         best: Optional[Split] = None
         for f, _, num in allowed:
@@ -215,21 +246,81 @@ class StarTreeTrainer:
         return best
 
     # -- growth -----------------------------------------------------------
-    def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
-        p = self.params
+    def train(
+        self,
+        features: Optional[Sequence[str]] = None,
+        others: Sequence["StarTreeTrainer"] = (),
+    ) -> DecisionTree:
+        """Grow one tree best-first (Algorithm 1).
+
+        ``others`` are the other clusters' trainers of a galaxy. The
+        root split is then the best over every cluster, a feature of a
+        relation shared by clusters being scored only in the first
+        cluster by name, and the tree grows on in the cluster that split
+        came from: the CPT lock, recorded as ``tree.cluster``. A tree
+        without a root split records the first cluster, which shifts
+        every ``R⋈`` row once, as each holds one row of every cluster
+        fact.
+        """
+        trainers = sorted([self, *others], key=lambda t: t.hub)
+        try:
+            scored: Set[str] = set()
+            roots = [t._root(features, scored) for t in trainers]
+            lead = 0
+            for i, root in enumerate(roots[1:], 1):
+                split = root[-1]
+                if split is not None and pick(roots[lead][-1], split) is split:
+                    lead = i
+            tree = trainers[lead]._grow(*roots[lead])
+            if self.engine is not None:
+                tree.cluster = trainers[0 if tree.root.is_leaf else lead].hub
+            return tree
+        finally:
+            for t in trainers:
+                t._release()
+
+    def _root(self, features: Optional[Sequence[str]], scored: Set[str]) -> tuple:
+        """Root stats in one job, and the best root split over the
+        features not yet in ``scored`` (which this extends).
+
+        Returns ``(allowed, cols, c, s, split)``, the arguments of
+        :meth:`_grow`. With an engine, first installs the lifted fact
+        projected to the columns the batch groups by.
+        """
+        if self.engine is not None:
+            keep = self._grouping_cols(list(self.feature_col))
+            lifted = self.engine.lifted(self.hub)
+            self.set_fact(lifted.select(*keep, PREFIX + "c", PREFIX + "s").cache())
         self._memo.clear()
         allowed = tuple(
             (f, r, num)
             for f, r, num in self.graph.all_features()
-            if features is None or f in features
+            if f in self.feature_col and (features is None or f in features)
         )
         cols = self._grouping_cols([f for f, _, _ in allowed])
+        c0, s0 = self._totals(self._node_stats({}, cols), cols)
+        fresh = [a for a in allowed if a[0] not in scored]
+        scored.update(f for f, _, _ in allowed)
+        return allowed, cols, c0, s0, self._best({}, c0, s0, fresh, cols)
+
+    def _release(self) -> None:
+        """Drop the lifted fact once its tree is trained."""
+        if self.engine is not None and self.fact is not None:
+            self.fact.unpersist()
+            self.fact = None
+
+    def _grow(
+        self,
+        allowed: Sequence[Tuple[str, str, bool]],
+        cols: Sequence[str],
+        c0: float,
+        s0: float,
+        sp: Optional[Split],
+    ) -> DecisionTree:
+        p = self.params
         ctx: PredContext = {}
-        stats0 = self._node_stats(ctx, cols)
-        c0, s0 = self._totals(stats0, cols)
         root = Node(next(self._ids), 0, prediction=self._leaf(c0, s0))
         tree = DecisionTree(root)
-        sp = self._best(ctx, c0, s0, allowed)
         pq: List[Tuple[float, int, Node, PredContext, float, float, Split]] = []
         counter = itertools.count()
         if sp is not None:
@@ -268,7 +359,7 @@ class StarTreeTrainer:
                         self._derive_sibling(
                             nctx, child_ctxs[True], cctx, cols
                         )
-                    csp = self._best(cctx, c, s, allowed)
+                    csp = self._best(cctx, c, s, allowed, cols)
                     if csp is not None:
                         heapq.heappush(
                             pq, (-csp.gain, next(counter), child, cctx, c, s, csp)

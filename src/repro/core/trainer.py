@@ -247,6 +247,10 @@ class FactorizedTreeTrainer:
                     )
             node.prediction = None
             n_leaves += 1
+        if cpt and cluster_fact is None:
+            # no root split: the constant shift goes through the first
+            # cluster fact, which holds one row of every R⋈ row
+            tree.cluster = min(self.graph.clusters())
         return tree
 
     def _leaf_pred(self, c: float, s: float) -> float:
