@@ -9,11 +9,15 @@ parallel residual writes to a C-contiguous array).
 
 Algorithmic identity with the factorized trainer is deliberate and
 *tested*: both use the same best-split scorer
-(:func:`repro.core.split.best_split_np`), the same best-first growth,
-the same tie-breaks and leaf values — so on identical data they grow
-identical trees, reproducing the paper's "JoinBoost … returns models
-identical to LightGBM" (§5.1) and making the time comparison purely
-about *where* the aggregation work runs.
+(:func:`repro.core.split.best_split_np`), the same tie-breaks and leaf
+values ``s / (c + λ)`` — so on identical data they grow identical
+trees, reproducing the paper's "JoinBoost … returns models identical
+to LightGBM" (§5.1) and making the time comparison purely about
+*where* the aggregation work runs. :class:`NpTreeTrainer` keeps its
+own best-first loop rather than sharing :func:`repro.core.tree.grow`:
+it is the independent reference the parity tests and the benchmark's
+model gate compare the shared loop against, so a bug in that loop
+cannot pass its own check.
 
 The wall-clock comparison charges this baseline its "0th iteration":
 join materialization + CSV export + load (see
@@ -84,6 +88,11 @@ class NpTreeTrainer:
             out = pick(out, s)
         return out
 
+    def _leaf(self, c: float, s: float) -> float:
+        """Optimal leaf value ``s / (c + λ)`` (Appendix B)."""
+        denom = c + self.params.reg_lambda
+        return 0.0 if denom == 0 else s / denom
+
     def train(
         self, target: np.ndarray, features: Optional[Sequence[str]] = None
     ) -> DecisionTree:
@@ -91,7 +100,7 @@ class NpTreeTrainer:
         feats = list(features) if features is not None else self.features
         idx0 = np.arange(len(self.pdf))
         c0, s0 = float(len(idx0)), float(target.sum())
-        root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
+        root = Node(next(self._ids), 0, prediction=self._leaf(c0, s0))
         tree = DecisionTree(root)
         sp = self._best(target, idx0, c0, s0, feats)
         pq: List[Tuple[float, int, Node, np.ndarray, float, float, Split]] = []
@@ -117,7 +126,7 @@ class NpTreeTrainer:
                     node.depth + 1,
                     preds=node.preds
                     + [Pred(split.feature, split.value, split.numeric, left)],
-                    prediction=(s / c if c else 0.0),
+                    prediction=self._leaf(c, s),
                 )
                 if left:
                     node.left = child

@@ -36,7 +36,7 @@ from .join_graph import JoinGraph
 from .messages import MessageEngine
 from .residual import GalaxyAnnotationUpdater, SnowflakeResidualUpdater
 from .semiring import PREFIX, VarianceSemiring
-from .star_trainer import StarTreeTrainer
+from .star_trainer import StarTreeTrainer, star_columns
 from .trainer import FactorizedTreeTrainer, TrainParams
 from .tree import DecisionTree, TreeEnsemble
 
@@ -193,15 +193,17 @@ class GradientBoosting:
             any(r in m for m in clusters.values()) for _, r, _ in g.all_features()
         ):
             return []
-        engine = MessageEngine(g, sr, eager=False)
-        tables: dict = {}
-        try:
-            return [
-                StarTreeTrainer(g, self.params, hub=h, engine=engine, tables=tables)
-                for h in sorted(clusters)
-            ]
+        try:  # every cluster is a star, checked before any collect
+            for h in clusters:
+                star_columns(g, h)
         except ValueError:
             return []
+        engine = MessageEngine(g, sr, eager=False)
+        tables: dict = {}
+        return [
+            StarTreeTrainer(g, self.params, hub=h, engine=engine, tables=tables)
+            for h in sorted(clusters)
+        ]
 
     def _fit_galaxy(self) -> GradientBoostingResult:
         g = self.graph

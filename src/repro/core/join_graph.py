@@ -258,3 +258,12 @@ class JoinGraph:
         """Cluster facts whose cluster contains ``feature``'s relation."""
         rel = self.feature_relation(feature)
         return sorted(f for f, m in self.clusters().items() if rel in m)
+
+    def cpt_cluster(self, root_feature: Optional[str]) -> str:
+        """The cluster fact a CPT tree locks (Section 4.2.2): the first
+        cluster by name holding the root split's relation, or the first
+        cluster when there is no root split (each cluster fact holds one
+        row of every ``R⋈`` row, so a constant shift goes through it)."""
+        if root_feature is None:
+            return min(self.clusters())
+        return self.cluster_of_feature(root_feature)[0]

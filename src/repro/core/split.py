@@ -48,16 +48,6 @@ class Split:
     c_left: float  # c (or h) mass on the σ side
     s_left: float  # s (or g) mass on the σ side
 
-    @property
-    def pred_sql(self) -> str:
-        v = repr(self.value) if isinstance(self.value, str) else self.value
-        return f"`{self.feature}` <= {v}" if self.numeric else f"`{self.feature}` = {v}"
-
-    @property
-    def neg_pred_sql(self) -> str:
-        v = repr(self.value) if isinstance(self.value, str) else self.value
-        return f"`{self.feature}` > {v}" if self.numeric else f"`{self.feature}` != {v}"
-
 
 def better(a: float, b: float) -> bool:
     """Is gain ``a`` strictly better than ``b``?

@@ -24,10 +24,17 @@ supported backend). Aggregation pushdown is identical: the fact is
 aggregated by join key *before* any contact with the dimensions, and
 ``R⋈`` is never materialized.
 
-The hub is the fact the batch aggregates. Requirement (checked at
-init): every feature relation of the hub's cluster is the hub itself or
-directly adjacent to it, and only the hub carries annotations. Deeper
-schemas use the general engine.
+Growth is the shared best-first loop :func:`~repro.core.tree.grow`
+(Algorithm 1); this module supplies only a node's candidate splits,
+from its one batched job, and its children's predicate contexts. A
+right child's stats are derived as parent − left on the driver, and
+only when that child is scored.
+
+The hub is the fact the batch aggregates. Requirement (checked by
+:func:`star_columns` from the graph alone, before any dimension is
+collected): every feature relation of the hub's cluster is the hub
+itself or directly adjacent to it, and only the hub carries
+annotations. Deeper schemas use the general engine.
 
 * **Snowflake** (§4.1): the hub is the single fact, and the caller
   installs its annotated copy (the residual column) with
@@ -47,8 +54,7 @@ schemas use the general engine.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import pandas as pd
@@ -61,7 +67,7 @@ from .residual import fact_condition
 from .semiring import PREFIX
 from .split import Split, best_split_np, pick
 from .trainer import TrainParams
-from .tree import DecisionTree, Node, Pred
+from .tree import DecisionTree, Pred, grow, top_split
 
 #: node context for the star path: relation → predicates on its columns
 PredContext = Dict[str, Tuple[Pred, ...]]
@@ -69,6 +75,30 @@ PredContext = Dict[str, Tuple[Pred, ...]]
 
 def _ctx_key(ctx: PredContext) -> frozenset:
     return frozenset((r, p) for r, preds in ctx.items() for p in preds)
+
+
+def star_columns(graph: JoinGraph, hub: str) -> Dict[str, Tuple[str, Optional[str]]]:
+    """feature → (hub-side grouping column, dimension or None) over the
+    features of ``hub``'s cluster.
+
+    Raises ``ValueError`` unless every feature relation of the cluster
+    is the hub or adjacent to it — the star requirement, checked from
+    the graph alone, before any dimension is collected.
+    """
+    members = graph.clusters()[hub]
+    out: Dict[str, Tuple[str, Optional[str]]] = {}
+    for f, rel, _ in graph.all_features():
+        if rel == hub:
+            out[f] = (f, None)
+        elif rel in members:
+            try:
+                out[f] = (graph.edge(hub, rel).keys[0], rel)
+            except ValueError:
+                raise ValueError(
+                    f"feature relation {rel!r} is not adjacent to the "
+                    f"fact {hub!r} — use FactorizedTreeTrainer"
+                ) from None
+    return out
 
 
 class StarTreeTrainer:
@@ -87,41 +117,22 @@ class StarTreeTrainer:
         ``tables`` is a dict of driver-side relations to share between
         trainers; missing dimensions are collected into it."""
         graph.validate_tree()
-        clusters = graph.clusters()
         if hub is None:
             if not graph.is_snowflake():
                 raise ValueError("StarTreeTrainer requires a snowflake schema")
-            hub = next(iter(clusters))
-        members = clusters[hub]
+            hub = next(iter(graph.clusters()))
         self.graph = graph
         self.params = params or TrainParams()
         self.hub = hub
         self.engine = engine
-        # feature → (fact-side grouping column, dim name or None), over
-        # the features of the hub's cluster
-        self.feature_col: Dict[str, Tuple[str, Optional[str]]] = {}
-        for f, rel, num in graph.all_features():
-            if rel not in members:
-                continue
-            if rel == self.hub:
-                self.feature_col[f] = (f, None)
-            else:
-                try:
-                    edge = graph.edge(self.hub, rel)
-                except ValueError:
-                    raise ValueError(
-                        f"feature relation {rel!r} is not adjacent to the "
-                        f"fact {self.hub!r} — use FactorizedTreeTrainer"
-                    ) from None
-                self.feature_col[f] = (edge.keys[0], rel)
+        self.feature_col = star_columns(graph, hub)
         # dimensions live on the driver: they are small by the paper's
         # own premise (<2MB each for Favorita)
         self.dim_pandas: Dict[str, pd.DataFrame] = {} if tables is None else tables
-        for name in sorted(members - {self.hub}):
+        for name in sorted(graph.clusters()[hub] - {hub}):
             if name not in self.dim_pandas:
                 self.dim_pandas[name] = graph.relations[name].df.toPandas()
         self.fact: Optional[DataFrame] = None
-        self._ids = itertools.count()
         self._memo: Dict[frozenset, pd.DataFrame] = {}
         self.jobs_run = 0
 
@@ -135,7 +146,6 @@ class StarTreeTrainer:
         new.__dict__ = {**self.__dict__}
         new.fact = None
         new._memo = {}
-        new._ids = itertools.count()
         new.jobs_run = 0
         return new
 
@@ -223,27 +233,25 @@ class StarTreeTrainer:
             .reset_index()
         )
 
-    def _best(
+    def _candidates(
         self,
         ctx: PredContext,
         c_tot: float,
         s_tot: float,
         allowed: Sequence[Tuple[str, str, bool]],
         cols: Sequence[str],
-    ) -> Optional[Split]:
+    ) -> List[Optional[Split]]:
+        """Each allowed feature's best split at one node, from the node's
+        one batched job."""
         p = self.params
         stats = self._node_stats(ctx, cols)
-        best: Optional[Split] = None
-        for f, _, num in allowed:
-            fs = self._feature_stats(stats, cols, f)
-            s = best_split_np(
-                fs, f, num, c_tot, s_tot,
+        return [
+            best_split_np(
+                self._feature_stats(stats, cols, f), f, num, c_tot, s_tot,
                 reg_lambda=p.reg_lambda, min_child=p.min_child,
             )
-            if s is None or s.gain < p.min_gain:
-                continue
-            best = pick(best, s)
-        return best
+            for f, _, num in allowed
+        ]
 
     # -- growth -----------------------------------------------------------
     def train(
@@ -257,10 +265,8 @@ class StarTreeTrainer:
         root split is then the best over every cluster, a feature of a
         relation shared by clusters being scored only in the first
         cluster by name, and the tree grows on in the cluster that split
-        came from: the CPT lock, recorded as ``tree.cluster``. A tree
-        without a root split records the first cluster, which shifts
-        every ``R⋈`` row once, as each holds one row of every cluster
-        fact.
+        came from: the CPT lock, recorded as ``tree.cluster`` by
+        :meth:`~repro.core.join_graph.JoinGraph.cpt_cluster`.
         """
         trainers = sorted([self, *others], key=lambda t: t.hub)
         try:
@@ -273,7 +279,7 @@ class StarTreeTrainer:
                     lead = i
             tree = trainers[lead]._grow(*roots[lead])
             if self.engine is not None:
-                tree.cluster = trainers[0 if tree.root.is_leaf else lead].hub
+                tree.cluster = self.graph.cpt_cluster(tree.root.split_feature)
             return tree
         finally:
             for t in trainers:
@@ -301,7 +307,8 @@ class StarTreeTrainer:
         c0, s0 = self._totals(self._node_stats({}, cols), cols)
         fresh = [a for a in allowed if a[0] not in scored]
         scored.update(f for f, _, _ in allowed)
-        return allowed, cols, c0, s0, self._best({}, c0, s0, fresh, cols)
+        split = top_split(self.params, self._candidates({}, c0, s0, fresh, cols))
+        return allowed, cols, c0, s0, split
 
     def _release(self) -> None:
         """Drop the lifted fact once its tree is trained."""
@@ -315,59 +322,28 @@ class StarTreeTrainer:
         cols: Sequence[str],
         c0: float,
         s0: float,
-        sp: Optional[Split],
+        split0: Optional[Split],
     ) -> DecisionTree:
-        p = self.params
-        ctx: PredContext = {}
-        root = Node(next(self._ids), 0, prediction=self._leaf(c0, s0))
-        tree = DecisionTree(root)
-        pq: List[Tuple[float, int, Node, PredContext, float, float, Split]] = []
-        counter = itertools.count()
-        if sp is not None:
-            heapq.heappush(pq, (-sp.gain, next(counter), root, ctx, c0, s0, sp))
-        n_leaves = 1
-        while pq and n_leaves < p.max_leaves:
-            _, _, node, nctx, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            rel = self.graph.feature_relation(split.feature)
-            child_ctxs = {}
-            for left in (True, False):
-                pr = Pred(split.feature, split.value, split.numeric, left)
-                cctx = dict(nctx)
-                cctx[rel] = tuple(list(cctx.get(rel, ())) + [pr])
-                child_ctxs[left] = cctx
-                c = split.c_left if left else c_t - split.c_left
-                s = split.s_left if left else s_t - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pr],
-                    prediction=self._leaf(c, s),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
-                    if not left and _ctx_key(cctx) not in self._memo:
-                        # right child: derive stats from parent − left
-                        # instead of running another Spark job
-                        self._derive_sibling(
-                            nctx, child_ctxs[True], cctx, cols
-                        )
-                    csp = self._best(cctx, c, s, allowed, cols)
-                    if csp is not None:
-                        heapq.heappush(
-                            pq, (-csp.gain, next(counter), child, cctx, c, s, csp)
-                        )
-            node.prediction = None
-            n_leaves += 1
-        return tree
+        """Grow on from the root's stats (:func:`~repro.core.tree.grow`).
 
-    def _leaf(self, c: float, s: float) -> float:
-        denom = c + self.params.reg_lambda
-        return 0.0 if denom == 0 else s / denom
+        A node's state is its context plus, for a right child, the
+        ``(parent, left)`` contexts it is derived from: its stats are
+        parent − left, computed only if the child is scored.
+        """
+
+        def best(state, c: float, s: float) -> List[Optional[Split]]:
+            ctx, sibling = state
+            if sibling is not None and _ctx_key(ctx) not in self._memo:
+                self._derive_sibling(*sibling, ctx, cols)
+            return self._candidates(ctx, c, s, allowed, cols)
+
+        def child(state, pred: Pred):
+            ctx = state[0]
+            rel = self.graph.feature_relation(pred.feature)
+            cctx = {**ctx, rel: ctx.get(rel, ()) + (pred,)}
+            if pred.left:
+                return cctx, None
+            left = replace(pred, left=True)
+            return cctx, (ctx, {**ctx, rel: ctx.get(rel, ()) + (left,)})
+
+        return grow(self.params, ({}, None), c0, s0, split0, best, child)

@@ -1,9 +1,10 @@
 """Factorized decision-tree training — paper Algorithm 1 + Sections 3.3, 5.5.
 
-:class:`FactorizedTreeTrainer` grows one tree with best-first growth
-(priority queue on criteria reduction) over a :class:`JoinGraph`,
-evaluating every candidate split from semi-ring aggregates produced by
-the :class:`MessageEngine` — ``R⋈`` is never materialized.
+:class:`FactorizedTreeTrainer` grows one tree over a :class:`JoinGraph`
+with the shared best-first loop :func:`~repro.core.tree.grow`
+(Algorithm 1), supplying only how a node's candidate splits are scored:
+from semi-ring aggregates produced by the :class:`MessageEngine` —
+``R⋈`` is never materialized — and how a child's context is derived.
 
 Three modes reproduce the paper's Fig 16a ablation:
 
@@ -30,12 +31,10 @@ dependency, mirroring the paper's dependency-aware FIFO scheduler).
 """
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
@@ -43,8 +42,8 @@ from pyspark.sql import DataFrame
 from .join_graph import JoinGraph
 from .messages import Context, MessageEngine, ctx_with
 from .semiring import PREFIX, VarianceSemiring
-from .split import Split, best_split_np, best_split_sql, pick
-from .tree import DecisionTree, Node, Pred
+from .split import Split, best_split_np, best_split_sql
+from .tree import DecisionTree, Pred, grow, top_split
 
 
 @dataclass
@@ -60,16 +59,8 @@ class TrainParams:
     sql_splits: bool = False
 
 
-@dataclass
-class _LeafTask:
-    """Priority-queue entry: a grown leaf and its best candidate split."""
-
-    node: Node
-    context: Context
-    c_total: float
-    s_total: float
-    split: Optional[Split]
-    allowed: Tuple[Tuple[str, str, bool], ...]  # (feature, relation, numeric)
+#: a node's state: its context and its allowed (feature, relation, numeric)
+_State = Tuple[Context, Tuple[Tuple[str, str, bool], ...]]
 
 
 class FactorizedTreeTrainer:
@@ -90,7 +81,6 @@ class FactorizedTreeTrainer:
         self.mode = mode
         self.engine = MessageEngine(graph, self.semiring)
         self._msg_lock = threading.Lock()
-        self._ids = itertools.count()
 
     # -- split evaluation ----------------------------------------------
     def _eval_feature(
@@ -127,18 +117,15 @@ class FactorizedTreeTrainer:
                 for src, dst, _ in self.graph.message_schedule(root):
                     self.engine.message(src, dst, context)
 
-    def _best_split(
-        self,
-        context: Context,
-        c_total: float,
-        s_total: float,
-        allowed: Sequence[Tuple[str, str, bool]],
-    ) -> Optional[Split]:
-        """GetBestSplit (Algorithm 1, L11-16) across all allowed features."""
+    def _candidates(
+        self, state: _State, c_total: float, s_total: float
+    ) -> List[Optional[Split]]:
+        """Each allowed feature's best split at one node (GetBestSplit)."""
+        context, allowed = state
         self._warm_messages(context, allowed)
         if self.params.n_jobs > 1:
             with ThreadPoolExecutor(self.params.n_jobs) as ex:
-                results = list(
+                return list(
                     ex.map(
                         lambda fr: self._eval_feature(
                             fr[0], fr[2], context, c_total, s_total
@@ -146,117 +133,50 @@ class FactorizedTreeTrainer:
                         allowed,
                     )
                 )
-        else:
-            results = [
-                self._eval_feature(f, num, context, c_total, s_total)
-                for f, _, num in allowed
-            ]
-        best: Optional[Split] = None
-        for s in results:
-            if s is None or s.gain < self.params.min_gain:
-                continue
-            best = pick(best, s)
-        return best
+        return [
+            self._eval_feature(f, num, context, c_total, s_total)
+            for f, _, num in allowed
+        ]
 
     # -- growth ---------------------------------------------------------
     def train(
-        self,
-        features: Optional[Sequence[str]] = None,
-        context: Optional[Context] = None,
-        cpt: bool = False,
+        self, features: Optional[Sequence[str]] = None, cpt: bool = False
     ) -> DecisionTree:
-        """Train one tree (Algorithm 1). ``context`` pre-filters ``R⋈``.
+        """Train one tree (Algorithm 1, :func:`~repro.core.tree.grow`).
 
+        A node's state is its context and its allowed features.
         ``cpt=True`` applies Clustered Predicate Trees (Section 4.2.2):
-        after the root split, candidate features are restricted to the
-        cluster containing the root split's relation, and the chosen
-        cluster fact is recorded on the tree for residual updates.
+        below the root, candidate features are restricted to the cluster
+        :meth:`~repro.core.join_graph.JoinGraph.cpt_cluster` picks for
+        the root split, and that cluster fact is recorded on the tree
+        for residual updates.
         """
-        p = self.params
+        g, p = self.graph, self.params
         if self.mode == "batch":
             self.engine.clear_cache()
-        all_feats = [
+        allowed = tuple(
             (f, r, num)
-            for f, r, num in self.graph.all_features()
+            for f, r, num in g.all_features()
             if features is None or f in features
-        ]
-        ctx: Context = dict(context or {})
-        c0, s0, *_ = self.engine.total(ctx)
-        root = Node(next(self._ids), 0)
-        tree = DecisionTree(root)
-        split0 = self._best_split(ctx, c0, s0, all_feats)
-        pq: List[Tuple[float, int, _LeafTask]] = []
-        counter = itertools.count()
-        task = _LeafTask(root, ctx, c0, s0, split0, tuple(all_feats))
-        root.prediction = self._leaf_pred(c0, s0)
-        if split0 is not None:
-            heapq.heappush(pq, (-split0.gain, next(counter), task))
-        n_leaves = 1
-        cluster_fact: Optional[str] = None
-        while pq and n_leaves < p.max_leaves:
-            _, _, task = heapq.heappop(pq)
-            node, split = task.node, task.split
-            assert split is not None
-            if node.depth + 1 > p.max_depth:
-                continue
-            if self.mode == "batch":
-                self.engine.clear_cache()
-            # CPT: lock the cluster on the first (root) split
-            allowed = task.allowed
-            if cpt and cluster_fact is None:
-                rel = self.graph.feature_relation(split.feature)
-                clusters = self.graph.clusters()
-                candidates = sorted(f for f, m in clusters.items() if rel in m)
-                cluster_fact = candidates[0]
-                members = clusters[cluster_fact]
-                allowed = tuple(
-                    (f, r, num) for f, r, num in allowed if r in members
-                )
-                tree.cluster = cluster_fact
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            rel = self.graph.feature_relation(split.feature)
-            for left in (True, False):
-                pred = Pred(split.feature, split.value, split.numeric, left)
-                child_ctx = ctx_with(task.context, rel, pred.sql())
-                c = split.c_left if left else task.c_total - split.c_left
-                s = split.s_left if left else task.s_total - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pred],
-                    prediction=self._leaf_pred(c, s),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
-                    csplit = self._best_split(child_ctx, c, s, allowed)
-                else:
-                    csplit = None
-                if csplit is not None:
-                    heapq.heappush(
-                        pq,
-                        (
-                            -csplit.gain,
-                            next(counter),
-                            _LeafTask(child, child_ctx, c, s, csplit, allowed),
-                        ),
-                    )
-            node.prediction = None
-            n_leaves += 1
-        if cpt and cluster_fact is None:
-            # no root split: the constant shift goes through the first
-            # cluster fact, which holds one row of every R⋈ row
-            tree.cluster = min(self.graph.clusters())
-        return tree
+        )
+        c0, s0, *_ = self.engine.total({})
 
-    def _leaf_pred(self, c: float, s: float) -> float:
-        """Optimal leaf value ``Σs / (Σc + β)`` (Appendix B)."""
-        denom = c + self.params.reg_lambda
-        return 0.0 if denom == 0 else s / denom
+        def child(state: _State, pred: Pred) -> _State:
+            ctx, feats = state
+            if cpt and not ctx:  # a child of the root: lock its cluster
+                members = g.clusters()[g.cpt_cluster(pred.feature)]
+                feats = tuple(a for a in feats if a[1] in members)
+            if self.mode == "batch" and pred.left:
+                # LMFAO-like: no message sharing from one node to the next
+                self.engine.clear_cache()
+            return ctx_with(ctx, g.feature_relation(pred.feature), pred.sql()), feats
+
+        root: _State = ({}, allowed)
+        split0 = top_split(p, self._candidates(root, c0, s0))
+        tree = grow(p, root, c0, s0, split0, self._candidates, child)
+        if cpt:
+            tree.cluster = g.cpt_cluster(tree.root.split_feature)
+        return tree
 
 
 class NaiveTreeTrainer:
@@ -275,7 +195,6 @@ class NaiveTreeTrainer:
     ) -> None:
         self.graph = graph
         self.params = params or TrainParams()
-        self._ids = itertools.count()
         self.wide = graph.materialize().cache()
         self.wide.count()
 
@@ -286,6 +205,7 @@ class NaiveTreeTrainer:
         return df
 
     def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
+        """Train one tree; a node's state is its list of SQL predicates."""
         p = self.params
         y = self.graph.y_column
         feats = [
@@ -293,77 +213,24 @@ class NaiveTreeTrainer:
             for f, r, num in self.graph.all_features()
             if features is None or f in features
         ]
+        agg = (F.count(F.lit(1)).cast("double").alias(PREFIX + "c"),
+               F.sum(F.col(y)).alias(PREFIX + "s"))
 
-        def totals(preds: List[str]) -> Tuple[float, float]:
-            row = (
-                self._node_stats(preds)
-                .agg(F.count(F.lit(1)).alias("c"), F.sum(F.col(y)).alias("s"))
-                .collect()[0]
-            )
-            return float(row["c"] or 0), float(row["s"] or 0.0)
-
-        def best(preds: List[str], c0: float, s0: float) -> Optional[Split]:
+        def best(preds: List[str], c: float, s: float):
             base = self._node_stats(preds)
-            out: Optional[Split] = None
             for f, num in feats:
-                stats = (
-                    base.groupBy(f)
-                    .agg(
-                        F.count(F.lit(1)).cast("double").alias(PREFIX + "c"),
-                        F.sum(F.col(y)).alias(PREFIX + "s"),
-                    )
-                    .toPandas()
-                )
-                s = best_split_np(
-                    stats, f, num, c0, s0,
+                stats = base.groupBy(f).agg(*agg).toPandas()
+                yield best_split_np(
+                    stats, f, num, c, s,
                     reg_lambda=p.reg_lambda, min_child=p.min_child,
                 )
-                if s is None or s.gain < p.min_gain:
-                    continue
-                out = pick(out, s)
-            return out
 
-        c0, s0 = totals([])
-        root = Node(next(self._ids), 0, prediction=(s0 / c0 if c0 else 0.0))
-        tree = DecisionTree(root)
-        pq: List[Tuple[float, int, Node, List[str], float, float, Split]] = []
-        counter = itertools.count()
-        sp = best([], c0, s0)
-        if sp is not None:
-            heapq.heappush(pq, (-sp.gain, next(counter), root, [], c0, s0, sp))
-        n_leaves = 1
-        while pq and n_leaves < p.max_leaves:
-            _, _, node, preds, c_t, s_t, split = heapq.heappop(pq)
-            if node.depth + 1 > p.max_depth:
-                continue
-            node.split_feature = split.feature
-            node.split_value = split.value
-            node.split_numeric = split.numeric
-            for left in (True, False):
-                pr = Pred(split.feature, split.value, split.numeric, left)
-                cpreds = preds + [pr.sql()]
-                c = split.c_left if left else c_t - split.c_left
-                s = split.s_left if left else s_t - split.s_left
-                child = Node(
-                    next(self._ids),
-                    node.depth + 1,
-                    preds=node.preds + [pr],
-                    prediction=(s / c if c else 0.0),
-                )
-                if left:
-                    node.left = child
-                else:
-                    node.right = child
-                if child.depth < p.max_depth and c > 2 * p.min_child:
-                    csp = best(cpreds, c, s)
-                    if csp is not None:
-                        heapq.heappush(
-                            pq,
-                            (-csp.gain, next(counter), child, cpreds, c, s, csp),
-                        )
-            node.prediction = None
-            n_leaves += 1
-        return tree
+        row = self.wide.agg(*agg).collect()[0]
+        c0, s0 = float(row[0] or 0), float(row[1] or 0.0)
+        return grow(
+            p, [], c0, s0, top_split(p, best([], c0, s0)), best,
+            lambda preds, pred: preds + [pred.sql()],
+        )
 
     def close(self) -> None:
         self.wide.unpersist()

@@ -1,4 +1,4 @@
-"""Decision tree model structure shared by all trainers (paper §3.2).
+"""Decision tree model and its growth loop, shared by all trainers (paper §3.2).
 
 A :class:`DecisionTree` is the *output* of training: a binary tree of
 selection predicates with leaf predictions. It is engine-agnostic — the
@@ -6,6 +6,11 @@ factorized Spark trainer, the naive materialized trainer and the NumPy
 baseline all emit this structure, which lets the parity tests assert
 "returns models identical to LightGBM" (paper §5.1) by direct
 comparison of ``to_dict()``.
+
+:func:`grow` is Algorithm 1 (best-first growth over a priority queue of
+leaves), written once: the factorized, star, naive and MADlib-like
+trainers only supply how a node's candidate splits are scored and how
+a child's context is derived, as LightGBM's leaf-wise growth does.
 
 Prediction is offered three ways:
 
@@ -18,13 +23,17 @@ Prediction is offered three ways:
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column
 import pyspark.sql.functions as F
+
+from .split import Split, pick
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,76 @@ class DecisionTree:
 
         rec(self.root, np.arange(len(pdf)))
         return out
+
+
+def top_split(params: Any, candidates: Iterable[Optional[Split]]) -> Optional[Split]:
+    """GetBestSplit's fold (Algorithm 1, L11-16): the best candidate whose
+    gain reaches ``params.min_gain``, with the shared tie-break."""
+    best: Optional[Split] = None
+    for s in candidates:
+        if s is None or s.gain < params.min_gain:
+            continue
+        best = pick(best, s)
+    return best
+
+
+def grow(
+    params: Any,
+    root_state: Any,
+    c0: float,
+    s0: float,
+    split0: Optional[Split],
+    best: Callable[[Any, float, float], Iterable[Optional[Split]]],
+    child: Callable[[Any, Pred], Any],
+) -> DecisionTree:
+    """Grow one tree best-first (Algorithm 1) from the root's totals
+    ``(c0, s0)`` and best split ``split0``.
+
+    The engine supplies only ``best(state, c, s)``, the candidate splits
+    of a node (``None`` for a feature without one), and ``child(state,
+    pred)``, the state of the child that ``pred`` selects. A state is
+    whatever the engine needs to score a node. The left child is
+    derived and scored before the right one. Every leaf holds the optimal
+    value ``s / (c + λ)`` of Appendix B; ``params`` is a
+    :class:`~repro.core.trainer.TrainParams`.
+    """
+    lam = params.reg_lambda
+    ids = itertools.count()
+    tie = itertools.count()  # FIFO among equal gains; never compares nodes
+
+    def leaf(c: float, s: float) -> float:
+        return 0.0 if c + lam == 0 else s / (c + lam)
+
+    root = Node(next(ids), 0, prediction=leaf(c0, s0))
+    heap: list = []
+    if split0 is not None:
+        heap.append((-split0.gain, next(tie), root, root_state, c0, s0, split0))
+    n_leaves = 1
+    while heap and n_leaves < params.max_leaves:
+        _, _, node, state, c_t, s_t, split = heapq.heappop(heap)
+        if node.depth + 1 > params.max_depth:
+            continue
+        node.split_feature = split.feature
+        node.split_value = split.value
+        node.split_numeric = split.numeric
+        for left in (True, False):
+            pred = Pred(split.feature, split.value, split.numeric, left)
+            cstate = child(state, pred)
+            c = split.c_left if left else c_t - split.c_left
+            s = split.s_left if left else s_t - split.s_left
+            kid = Node(next(ids), node.depth + 1, node.preds + [pred], leaf(c, s))
+            if left:
+                node.left = kid
+            else:
+                node.right = kid
+            if kid.depth < params.max_depth and c > 2 * params.min_child:
+                ksplit = top_split(params, best(cstate, c, s))
+                if ksplit is not None:
+                    entry = (-ksplit.gain, next(tie), kid, cstate, c, s, ksplit)
+                    heapq.heappush(heap, entry)
+        node.prediction = None
+        n_leaves += 1
+    return DecisionTree(root)
 
 
 @dataclass

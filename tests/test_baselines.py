@@ -110,3 +110,20 @@ class TestMadlibLike:
         resid = wide["y"].to_numpy() - tree.predict_np(wide)
         assert float(np.sqrt((resid**2).mean())) < float(wide["y"].std())
         tr.close()
+
+    def test_leaves_are_regularized_means(self, star_int):
+        """Each leaf holds ``Σy / (count + λ)`` over its rows (Appendix B)."""
+        lam = 50.0
+        tr = MadlibLikeTrainer(star_int.graph,
+                               TrainParams(max_leaves=3, reg_lambda=lam),
+                               max_candidates=4)
+        tree = tr.train()
+        tr.close()
+        wide = star_int.wide_pandas()
+        assert tree.n_leaves() > 1
+        for leaf in tree.leaves():
+            m = np.ones(len(wide), dtype=bool)
+            for pred in leaf.preds:
+                m &= pred.mask(wide)
+            y = wide["y"].to_numpy()[m]
+            assert leaf.prediction == pytest.approx(y.sum() / (len(y) + lam))

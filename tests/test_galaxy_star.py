@@ -142,6 +142,19 @@ class TestStarPathParity:
         assert gb._cluster_stars(VarianceSemiring(track_q=True)) == []
         _assert_fast_equals_slow_and_oracle(two_hop, max_leaves=3)
 
+    def test_fallback_collects_nothing(self, two_hop, monkeypatch):
+        """Every cluster is checked to be a star before any dimension is
+        collected, so a galaxy that falls back pays no collect."""
+        frame = type(two_hop.graph.relations["item"].df)
+        calls = []
+        to_pandas = frame.toPandas
+        monkeypatch.setattr(
+            frame, "toPandas", lambda df: calls.append(df) or to_pandas(df)
+        )
+        gb = GradientBoosting(two_hop.graph, params=TrainParams(max_leaves=3))
+        assert gb._cluster_stars(VarianceSemiring(track_q=True)) == []
+        assert calls == []
+
     @pytest.mark.parametrize(
         "name, hubs",
         [("imdb_galaxy", ["cast_info", "movie_company"]), ("two_clusters", ["review", "sale"])],

@@ -97,6 +97,19 @@ class TestSnowflakeGBM:
         assert res.logs[-1].rmse < baseline_rmse
 
 
+class TestRegLambda:
+    def test_gbm_matches_numpy(self, star_int):
+        g = star_int.graph
+        p = TrainParams(max_leaves=3, reg_lambda=50.0)
+        res = GradientBoosting(g, n_iters=2, params=p).fit()
+        wide = star_int.wide_pandas()
+        feats = [f for f, _, _ in g.all_features()]
+        res_np = NpGBM(wide, feats, feats, "y", n_iters=2, params=p).fit()
+        assert [t.to_dict() for t in res.ensemble.trees] == [
+            t.to_dict() for t in res_np.ensemble.trees
+        ]
+
+
 class TestYInDimension:
     """§4.1's second case: Y lives in a dimension, joined into F first."""
 

@@ -139,6 +139,13 @@ class TestClusters:
         # movie is shared: features on it belong to both clusters
         assert g.cluster_of_feature("m_year") == ["cast_info", "movie_company"]
 
+    def test_cpt_cluster(self, imdb_tiny):
+        g = imdb_tiny.graph
+        assert g.cpt_cluster("co_size") == "movie_company"
+        # a shared relation locks the first cluster by name, as does no split
+        assert g.cpt_cluster("m_year") == "cast_info"
+        assert g.cpt_cluster(None) == "cast_info"
+
 
 class TestMaterialize:
     def test_star_row_count(self, favorita_tiny):

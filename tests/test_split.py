@@ -108,18 +108,6 @@ class TestSqlVariant:
         assert best_split_sql(to_spark(spark, st), "f", True, 10, 10, min_child=2.0) is None
 
 
-class TestPredSql:
-    def test_numeric_split_predicates(self):
-        s = Split("f", 3, True, 1.0, 1.0, 1.0)
-        assert s.pred_sql == "`f` <= 3"
-        assert s.neg_pred_sql == "`f` > 3"
-
-    def test_categorical_split_predicates(self):
-        s = Split("f", "x", False, 1.0, 1.0, 1.0)
-        assert s.pred_sql == "`f` = 'x'"
-        assert s.neg_pred_sql == "`f` != 'x'"
-
-
 class TestComparator:
     def test_better_strict(self):
         assert better(2.0, 1.0)

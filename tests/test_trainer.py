@@ -5,6 +5,7 @@ reference library) is checked exactly on the integer-y fixture, where
 every semi-ring sum is exact in float64, so all four training paths
 must produce bit-identical trees.
 """
+import numpy as np
 import pytest
 
 from repro.core.semiring import VarianceSemiring
@@ -56,6 +57,40 @@ class TestModelParity:
         np.testing.assert_array_equal(
             int_trees["fact"].predict_np(wide), int_trees["np"].predict_np(wide)
         )
+
+
+class TestRegLambdaParity:
+    """Appendix B: every engine's leaves hold ``s / (c + λ)``."""
+
+    def test_identical_trees(self, star_int):
+        g = star_int.graph
+        sr = VarianceSemiring(track_q=False)
+        p = TrainParams(max_leaves=3, reg_lambda=50.0)
+        fact = FactorizedTreeTrainer(g, sr, p)
+        fact.engine.lift_y()
+        t_fact = fact.train()
+        fact.engine.clear_cache()
+        star = StarTreeTrainer(g, p)
+        star.set_fact(sr.lift(g.relations["fact"].df, "y"))
+        t_star = star.train()
+        naive = NaiveTreeTrainer(g, p)
+        t_naive = naive.train()
+        naive.close()
+        wide = star_int.wide_pandas()
+        feats = [f for f, _, _ in g.all_features()]
+        t_np = NpTreeTrainer(wide, feats, feats, p).train(
+            wide["y"].to_numpy(dtype="float64")
+        )
+        expect = t_np.to_dict()
+        assert t_fact.to_dict() == expect
+        assert t_star.to_dict() == expect
+        assert t_naive.to_dict() == expect
+        for leaf in t_np.leaves():
+            m = np.ones(len(wide), dtype=bool)
+            for pred in leaf.preds:
+                m &= pred.mask(wide)
+            y = wide["y"].to_numpy()[m]
+            assert leaf.prediction == pytest.approx(y.sum() / (len(y) + 50.0))
 
 
 class TestFactorizedModes:
