@@ -229,11 +229,14 @@ class SnowflakeResidualUpdater:
 
     # -- the engine-facing view ----------------------------------------
     def annotated(self) -> DataFrame:
-        """Fact view with full semi-ring columns ``(c=1, s=residual)``."""
-        return self.current.withColumn(PREFIX + "c", F.lit(1.0))
+        """Fact view with full semi-ring columns ``(c=1, s=ε, q=ε²)``."""
+        s = F.col(PREFIX + "s")
+        return self.current.withColumns({PREFIX + "c": F.lit(1.0), PREFIX + "q": s * s})
 
     # -- the per-iteration update ---------------------------------------
-    def update(self, tree: DecisionTree) -> None:
+    def update(self, tree: DecisionTree) -> DataFrame:
+        """Rewrite the residual column for one tree; returns
+        :meth:`annotated`, the fact's new annotation."""
         conds = [
             (
                 leaf_condition(self.graph, self.fact, leaf, self.dim_pandas),
@@ -253,6 +256,7 @@ class SnowflakeResidualUpdater:
         self.current.count()
         old.unpersist()
         self.last_update_seconds = time.perf_counter() - t0
+        return self.annotated()
 
     def _update_naive(
         self, conds: List[Tuple[Column, float]], tree: DecisionTree
@@ -308,13 +312,6 @@ class SnowflakeResidualUpdater:
                 path = self.graph.path(self.fact, rel)
                 cols.add(self.graph.edge(path[0], path[1]).keys[0])
         return sorted(cols)
-
-    def rmse(self) -> float:
-        """Model rmse from the residual column: ``√(Σs²/C)``."""
-        row = self.current.agg(
-            F.sqrt(F.avg(F.col(PREFIX + "s") * F.col(PREFIX + "s"))).alias("r")
-        ).collect()[0]
-        return float(row["r"])
 
     def close(self) -> None:
         self.current.unpersist()

@@ -58,7 +58,6 @@ class RandomForest:
         params: Optional[TrainParams] = None,
         n_jobs: int = 1,
         seed: int = 0,
-        fast: bool = True,
     ) -> None:
         graph.validate_tree()
         if not graph.is_snowflake():
@@ -73,11 +72,10 @@ class RandomForest:
         self.fact = next(iter(graph.clusters()))
         self._lifted_base: Optional[DataFrame] = None
         self._star_template: Optional[StarTreeTrainer] = None
-        if fast:
-            try:
-                self._star_template = StarTreeTrainer(graph, self.params)
-            except ValueError:
-                self._star_template = None
+        try:
+            self._star_template = StarTreeTrainer(graph, self.params)
+        except ValueError:  # not a star: general message passing
+            pass
 
     def _sample_features(self, rng: np.random.Generator) -> List[str]:
         feats = [f for f, _, _ in self.graph.all_features()]

@@ -1,4 +1,4 @@
-"""Commutative semi-rings for factorized tree training (paper Table 1/2).
+"""Commutative semi-rings for factorized tree training (paper Table 1).
 
 A semi-ring annotation is stored as a set of ordinary DataFrame columns
 named ``{prefix}{component}`` (default prefix ``__``, so the variance
@@ -7,26 +7,19 @@ annotations (⊗) and group-bys sum them (⊕); both are emitted as
 Catalyst column expressions so the whole computation stays inside
 Spark SQL — the paper's "pure SQL" constraint.
 
-Three semi-rings are provided:
+:class:`VarianceSemiring` — ``(c, s, q) = (count, Σy, Σy²)`` — supports
+the rmse criterion and, crucially, is *addition-to-multiplication
+preserving* (paper Definition 1), which is what makes factorized
+gradient boosting possible: ``lift(y − p) = lift(y) ⊗ lift(−p)``.
 
-* :class:`VarianceSemiring` — ``(c, s, q) = (count, Σy, Σy²)``;
-  supports the rmse criterion and, crucially, is
-  *addition-to-multiplication preserving* (paper Definition 1), which
-  is what makes factorized gradient boosting possible:
-  ``lift(y − p) = lift(y) ⊗ lift(−p)``.
-* :class:`GradientSemiring` — ``(h, g)`` pairs (paper Table 2) for
-  second-order boosting objectives over snowflake schemas.
-* :class:`ClassCountSemiring` — ``(c, c¹…cᵏ)`` for classification
-  criteria (gini / entropy).
-
-Each semi-ring also exposes NumPy twins of lift/⊗/⊕ so the in-memory
-baseline (``repro.baselines.npgbm``) and the property tests share one
-algebra definition with the SQL path.
+It also exposes NumPy twins of lift/⊗ so the in-memory baseline
+(``repro.baselines.npgbm``) and the property tests share one algebra
+definition with the SQL path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 from pyspark.sql import Column, DataFrame
@@ -128,140 +121,3 @@ class VarianceSemiring:
             q = a[..., 2] * b[..., 0] + b[..., 2] * a[..., 0] + 2 * a[..., 1] * b[..., 1]
             return np.stack([c, s, q], axis=-1)
         return np.stack([c, s], axis=-1)
-
-    def is_add_to_mult_preserving(
-        self, y1: float, y2: float, atol: float = 1e-9
-    ) -> bool:
-        """Check ``lift(y1+y2) == lift(y1) ⊗ lift(y2)`` (Definition 1)."""
-        lhs = self.lift_np(np.array([y1 + y2]))[0]
-        rhs = self.mult_np(
-            self.lift_np(np.array([y1]))[0], self.lift_np(np.array([y2]))[0]
-        )
-        return bool(np.allclose(lhs, rhs, atol=atol))
-
-
-# ----------------------------------------------------------------------
-# Gradient semi-ring (paper Table 2) — second-order boosting objectives.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GradientSemiring:
-    """``(h, g)`` gradient semi-ring of paper Table 2 (regression).
-
-    ``(h₁,g₁) ⊗ (h₂,g₂) = (h₁h₂, g₁h₂ + g₂h₁)`` and component-wise ⊕.
-    The lift annotates each fact row with its per-row hessian and
-    gradient for the chosen loss; non-Y relations get the identity
-    ``(1, 0)``. Only snowflake schemas use this (per-row residuals are
-    materialized on F), matching the paper's supported-objective matrix.
-    """
-
-    prefix: str = PREFIX
-
-    components = ("h", "g")
-
-    def cols(self, prefix: str | None = None) -> list:
-        p = self.prefix if prefix is None else prefix
-        return [p + c for c in self.components]
-
-    def lift_exprs(self, g: Column, h: Column) -> Dict[str, Column]:
-        return {self.prefix + "h": h.cast("double"), self.prefix + "g": g.cast("double")}
-
-    def identity_exprs(self) -> Dict[str, Column]:
-        return {self.prefix + "h": F.lit(1.0), self.prefix + "g": F.lit(0.0)}
-
-    def mult_exprs(self, a: str, b: str) -> Dict[str, Column]:
-        h1, g1 = F.col(a + "h"), F.col(a + "g")
-        h2, g2 = F.col(b + "h"), F.col(b + "g")
-        return {
-            self.prefix + "h": h1 * h2,
-            self.prefix + "g": g1 * h2 + g2 * h1,
-        }
-
-    def sum_exprs(self, prefix: str | None = None) -> list:
-        p = self.prefix if prefix is None else prefix
-        return [F.sum(F.col(p + c)).alias(self.prefix + c) for c in self.components]
-
-
-#: Gradient/hessian formulas per loss (paper Table 3), as functions of
-#: the residual column ε = y − p. Defined for snowflake schemas where ε
-#: is a materialized column on F. Values are (gradient, hessian) column
-#: builders; constants follow LightGBM's conventions as the paper does.
-def loss_grad_hess(loss: str, eps: Column, **params) -> tuple:
-    """Return ``(g, h)`` Catalyst expressions for residual column ``eps``.
-
-    Supported: ``l2`` (rmse), ``l1`` (mae), ``huber``, ``fair``,
-    ``quantile`` — the regression rows of paper Table 3. Note the paper
-    negates: LightGBM's gradient is ∂l/∂p = −ε for l2; we keep Table 3's
-    orientation (g = ε for l2) and the optimal leaf prediction is then
-    ``+Σg / (Σh + β)``.
-    """
-    if loss == "l2":
-        return eps, F.lit(1.0)
-    if loss == "l1":
-        return F.signum(eps), F.lit(1.0)
-    if loss == "huber":
-        d = float(params.get("delta", 1.0))
-        g = F.when(F.abs(eps) <= d, eps).otherwise(F.lit(d) * F.signum(eps))
-        return g, F.lit(1.0)
-    if loss == "fair":
-        c = float(params.get("fair_c", 1.0))
-        g = F.lit(c) * eps / (F.abs(eps) + F.lit(c))
-        h = F.lit(c * c) / ((F.abs(eps) + F.lit(c)) * (F.abs(eps) + F.lit(c)))
-        return g, h
-    if loss == "quantile":
-        a = float(params.get("alpha", 0.5))
-        g = F.when(eps < 0, F.lit(a - 1.0)).otherwise(F.lit(a))
-        return g, F.lit(1.0)
-    raise ValueError(f"unsupported loss {loss!r}")
-
-
-# ----------------------------------------------------------------------
-# Class-count semi-ring (paper Table 1, classification criteria).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClassCountSemiring:
-    """``(c, c¹, …, cᵏ)`` class-count semi-ring for k classes.
-
-    Supports gini / entropy / chi-square criteria (paper Appendix A).
-    Classes are dense ints ``0..k-1``.
-    """
-
-    k: int = 2
-    prefix: str = PREFIX
-
-    @property
-    def components(self) -> tuple:
-        return ("c",) + tuple(f"c{i}" for i in range(self.k))
-
-    def cols(self, prefix: str | None = None) -> list:
-        p = self.prefix if prefix is None else prefix
-        return [p + c for c in self.components]
-
-    def lift_exprs(self, y: str | Column) -> Dict[str, Column]:
-        ycol = F.col(y) if isinstance(y, str) else y
-        out = {self.prefix + "c": F.lit(1.0)}
-        for i in range(self.k):
-            out[self.prefix + f"c{i}"] = F.when(ycol == i, 1.0).otherwise(0.0)
-        return out
-
-    def identity_exprs(self) -> Dict[str, Column]:
-        out = {self.prefix + "c": F.lit(1.0)}
-        for i in range(self.k):
-            out[self.prefix + f"c{i}"] = F.lit(0.0)
-        return out
-
-    def lift(self, df: DataFrame, y: str | None) -> DataFrame:
-        exprs = self.lift_exprs(y) if y is not None else self.identity_exprs()
-        return df.withColumns(exprs)
-
-    def mult_exprs(self, a: str, b: str) -> Dict[str, Column]:
-        c1, c2 = F.col(a + "c"), F.col(b + "c")
-        out = {self.prefix + "c": c1 * c2}
-        for i in range(self.k):
-            out[self.prefix + f"c{i}"] = (
-                F.col(a + f"c{i}") * c2 + c1 * F.col(b + f"c{i}")
-            )
-        return out
-
-    def sum_exprs(self, prefix: str | None = None) -> list:
-        p = self.prefix if prefix is None else prefix
-        return [F.sum(F.col(p + c)).alias(self.prefix + c) for c in self.components]

@@ -1,9 +1,8 @@
 """Best-split search from per-feature-value semi-ring sums (paper §3.3, Ex. 2).
 
 Split evaluation never touches individual rows: given the tiny table of
-``(value, c, s)`` sums produced by message passing (``c``/``s`` double
-as ``h``/``g`` for gradient semi-rings — the arithmetic is identical,
-paper Appendix B), the criterion for a candidate split σ is
+``(value, c, s)`` sums produced by message passing, the criterion for
+a candidate split σ is
 
     gain(σ) = s_σ²/(c_σ+λ) + (S−s_σ)²/(C−c_σ+λ) − S²/(C+λ)
 
@@ -123,64 +122,6 @@ def best_split_np(
         gain=float(gains[i]),
         c_left=float(c[i]),
         s_left=float(s[i]),
-    )
-
-
-def gini_impurity(counts: np.ndarray) -> np.ndarray:
-    """``1 − Σ (cᵏ/c)²`` per row of a ``(n, k)`` class-count matrix
-    (paper Appendix A); empty nodes have impurity 0."""
-    c = counts.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 - ((counts / c[..., None]) ** 2).sum(axis=-1)
-    return np.where(c > 0, g, 0.0)
-
-
-def best_gini_split(
-    stats: pd.DataFrame,
-    feature: str,
-    numeric: bool,
-    totals: np.ndarray,
-    min_child: float = 1.0,
-) -> Optional[Split]:
-    """Best classification split by weighted Gini reduction.
-
-    ``stats`` holds per-feature-value class-count sums
-    ``(value, __c0 … __c{k-1})`` from the class-count semi-ring;
-    ``totals`` is the node's aggregated ``(k,)`` class-count vector.
-    The gain is ``C·g(parent) − C_l·g(left) − C_r·g(right)`` — the
-    count-weighted form of Appendix A's reduction. ``c_left``/``s_left``
-    on the returned Split carry the left count and left majority class.
-    """
-    if stats.empty:
-        return None
-    stats = stats.sort_values(feature, kind="stable")
-    k = len(totals)
-    cls = stats[[PREFIX + f"c{i}" for i in range(k)]].to_numpy(dtype="float64")
-    vals = stats[feature].to_numpy()
-    if numeric:
-        order = np.argsort(vals, kind="stable")
-        vals, cls = vals[order], np.cumsum(cls[order], axis=0)
-        if len(vals) < 2:
-            return None
-        vals, cls = vals[:-1], cls[:-1]
-    left_c = cls.sum(axis=1)
-    right = totals[None, :] - cls
-    right_c = right.sum(axis=1)
-    c_tot = float(totals.sum())
-    parent = c_tot * float(gini_impurity(totals[None, :])[0])
-    gains = parent - left_c * gini_impurity(cls) - right_c * gini_impurity(right)
-    ok = (left_c >= min_child) & (right_c >= min_child) & np.isfinite(gains)
-    if not ok.any():
-        return None
-    gains = np.where(ok, gains, -np.inf)
-    i = int(np.argmax(gains))
-    return Split(
-        feature=feature,
-        value=vals[i].item() if hasattr(vals[i], "item") else vals[i],
-        numeric=numeric,
-        gain=float(gains[i]),
-        c_left=float(left_c[i]),
-        s_left=float(np.argmax(cls[i])),  # left majority class
     )
 
 

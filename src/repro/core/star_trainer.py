@@ -36,13 +36,15 @@ collected): every feature relation of the hub's cluster is the hub
 itself or directly adjacent to it, and only the hub carries
 annotations. Deeper schemas use the general engine.
 
-* **Snowflake** (§4.1): the hub is the single fact, and the caller
-  installs its annotated copy (the residual column) with
-  :meth:`StarTreeTrainer.set_fact`.
-* **Galaxy** (§4.2.2): one trainer per CPT cluster, built with
+* **Fixed fact**: without an engine, the hub defaults to a
+  snowflake's single fact, and the caller installs its annotated copy
+  with :meth:`StarTreeTrainer.set_fact` (the random forest's samples,
+  the table harnesses).
+* **Boosting** (§4.2.2): one trainer per CPT cluster, built with
   ``hub=`` the cluster fact and ``engine=`` the message engine that
-  holds the galaxy's annotations. Under CPT every split below the root
-  uses only the locked cluster's features, and that cluster is a star,
+  holds the annotations; a snowflake is the one-cluster case, its fact
+  annotated with the residual column. Under CPT every split below the
+  root uses only the locked cluster's features, and that cluster is a star,
   so every node is a star problem over the cluster's *lifted* fact
   ``L_k`` — F_k's annotation ⊗ the message from each neighbour
   (:meth:`~repro.core.messages.MessageEngine.lifted`), which carries
@@ -291,12 +293,17 @@ class StarTreeTrainer:
 
         Returns ``(allowed, cols, c, s, split)``, the arguments of
         :meth:`_grow`. With an engine, first installs the lifted fact
-        projected to the columns the batch groups by.
+        projected to the columns the batch groups by. It is cached only
+        when a message was multiplied in; otherwise it is the hub's own
+        annotation, such as a snowflake's cached residual copy.
         """
         if self.engine is not None:
             keep = self._grouping_cols(list(self.feature_col))
             lifted = self.engine.lifted(self.hub)
-            self.set_fact(lifted.select(*keep, PREFIX + "c", PREFIX + "s").cache())
+            fact = lifted.select(*keep, PREFIX + "c", PREFIX + "s")
+            if lifted is not self.engine.annotated[self.hub]:
+                fact = fact.cache()
+            self.set_fact(fact)
         self._memo.clear()
         allowed = tuple(
             (f, r, num)
@@ -313,7 +320,8 @@ class StarTreeTrainer:
     def _release(self) -> None:
         """Drop the lifted fact once its tree is trained."""
         if self.engine is not None and self.fact is not None:
-            self.fact.unpersist()
+            if self.fact.is_cached:
+                self.fact.unpersist()
             self.fact = None
 
     def _grow(

@@ -159,6 +159,41 @@ class TestYInDimension:
         assert res.logs[-1].rmse == pytest.approx(res_np.logs[-1].rmse, rel=1e-9)
 
 
+class TestDeepSnowflake:
+    """A 3-deep snowflake is not a star, so GB grows on the general
+    engine even with ``fast=True``: the one-cluster case of CPT."""
+
+    @pytest.fixture(scope="class")
+    def chain_fit(self, chain_graph):
+        p = TrainParams(max_leaves=4)
+        res = GradientBoosting(
+            chain_graph, n_iters=2, learning_rate=0.3, params=p, track_rmse=True,
+        ).fit()
+        wide = chain_graph.materialize().toPandas()
+        feats = chain_graph.all_features()
+        res_np = NpGBM(
+            wide, [f for f, _, _ in feats], [f for f, _, num in feats if num],
+            chain_graph.y_column, n_iters=2, learning_rate=0.3, params=p,
+        ).fit()
+        return res, res_np, wide
+
+    def test_gbm_matches_numpy(self, chain_fit):
+        res, res_np, _ = chain_fit
+        assert [t.to_dict() for t in res.ensemble.trees] == [
+            t.to_dict() for t in res_np.ensemble.trees
+        ]
+
+    def test_rmse_matches_prediction_oracle(self, chain_fit, chain_graph):
+        res, _, wide = chain_fit
+        assert res.logs[-1].rmse == pytest.approx(
+            res.ensemble.rmse_np(wide, chain_graph.y_column), rel=1e-9
+        )
+
+    def test_trees_lock_the_fact(self, chain_fit):
+        res, _, _ = chain_fit
+        assert [t.cluster for t in res.ensemble.trees] == ["lineitem", "lineitem"]
+
+
 class TestGalaxyGBM:
     @pytest.fixture(scope="class")
     def galaxy_fit(self, imdb_tiny):

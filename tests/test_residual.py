@@ -302,14 +302,6 @@ class TestStrategies:
         assert s == pytest.approx(expect, rel=1e-9)
         upd.close()
 
-    def test_rmse_matches_numpy(self, favorita_tiny, fav_tree):
-        upd = _make_updater(favorita_tiny, "swap", dim_pandas=favorita_tiny.dims)
-        upd.update(fav_tree)
-        wide = favorita_tiny.wide_pandas()
-        resid = wide["y"].to_numpy() - 0.1 * fav_tree.predict_np(wide)
-        assert upd.rmse() == pytest.approx(float(np.sqrt((resid**2).mean())), rel=1e-9)
-        upd.close()
-
     def test_unknown_strategy(self, favorita_tiny):
         with pytest.raises(ValueError, match="unknown strategy"):
             _make_updater(favorita_tiny, "set")
