@@ -1,8 +1,9 @@
 """Benchmark-session knobs.
 
-Each bench runs its table harness exactly once (``benchmark.pedantic``
-with rounds=1): these are end-to-end experiment reproductions, not
-microbenchmarks to be statistically resampled. Tables print through
+Each bench of ``bench_tables.py`` runs its table harness exactly once
+(``benchmark.pedantic`` with rounds=1), with the harness defaults: these
+are end-to-end experiment reproductions, not microbenchmarks to be
+statistically resampled. Tables print through
 ``capsys.disabled()`` so they land in bench_output.txt, and each
 harness also persists its rows to ``results/*.json``.
 """
@@ -18,9 +19,9 @@ import pytest  # noqa: E402
 def run_table(benchmark, capsys):
     """Run one table harness under pytest-benchmark and emit its table."""
 
-    def _run(fn, *args, **kwargs):
+    def _run(harness, spark):
         res = benchmark.pedantic(
-            lambda: fn(*args, **kwargs), rounds=1, iterations=1, warmup_rounds=0
+            lambda: harness(spark), rounds=1, iterations=1, warmup_rounds=0
         )
         res.save()
         with capsys.disabled():

@@ -19,7 +19,7 @@ from repro.experiments.common import ExperimentResult  # noqa: E402
 def load(table: str) -> str:
     path = ROOT / "results" / f"{table.lower()}.json"
     if not path.exists():
-        return f"(no results for {table} — run benchmarks/bench_{table.lower()}_*.py)"
+        return f"(no results for {table} — run python -m repro.experiments {table.lower()})"
     d = json.loads(path.read_text())
     return ExperimentResult(d["table"], d["title"], d["rows"], d["notes"]).format()
 

@@ -103,27 +103,30 @@ class GradientBoosting:
         base, updater = start(engine, tables)
         ens = TreeEnsemble(base_score=base, learning_rate=self.lr)
         logs: List[IterationLog] = []
-        for _ in range(self.n_iters):
-            t0 = time.perf_counter()
-            if stars:
-                tree = stars[0].train(others=stars[1:])
-            else:
-                tree = trainer.train(cpt=True)
-            t1 = time.perf_counter()
-            engine.set_annotation(tree.cluster, updater.update(tree))
-            rmse = None
-            if self.track_rmse:
-                c, _, q = engine.total({})
-                rmse = (q / c) ** 0.5
-            ens.trees.append(tree)
-            logs.append(
-                IterationLog(
-                    tree_seconds=t1 - t0,
-                    update_seconds=updater.last_update_seconds,
-                    rmse=rmse,
+        try:
+            for _ in range(self.n_iters):
+                t0 = time.perf_counter()
+                if stars:
+                    tree = stars[0].train(others=stars[1:])
+                else:
+                    tree = trainer.train(cpt=True)
+                t1 = time.perf_counter()
+                engine.set_annotation(tree.cluster, updater.update(tree))
+                rmse = None
+                if self.track_rmse:
+                    c, _, q = engine.total({})
+                    rmse = (q / c) ** 0.5
+                ens.trees.append(tree)
+                logs.append(
+                    IterationLog(
+                        tree_seconds=t1 - t0,
+                        update_seconds=updater.last_update_seconds,
+                        rmse=rmse,
+                    )
                 )
-            )
-        engine.clear_cache()
+        finally:  # the model needs none of the cached residuals/messages
+            engine.clear_cache()
+            updater.close()
         return GradientBoostingResult(ens, logs)
 
     def _cluster_stars(self, sr: VarianceSemiring) -> List[StarTreeTrainer]:

@@ -1,10 +1,13 @@
 """One harness per reproduced evaluation table (paper Figs 5, 8–16, 18).
 
-Each ``t*_…(spark, …)`` function runs the experiment at a laptop scale,
-returns an :class:`ExperimentResult` with the same row structure the
-paper's figure reports, and is invoked both by ``benchmarks/`` (timed,
-captured into bench_output.txt) and by the ``jobs/`` spark-submit
-entrypoints. Paper-vs-measured comparisons live in EXPERIMENTS.md.
+Each ``t*_…(spark, …)`` function runs the experiment at a laptop scale
+and returns an :class:`ExperimentResult` with the same row structure the
+paper's figure reports. Its signature's defaults are the table's run
+arguments. :data:`TABLES` registers every harness under its table id
+(``"t1"`` … ``"t11"``) with the flags the command line exposes; both
+``python -m repro.experiments tN`` and ``benchmarks/bench_tables.py``
+(timed, captured into bench_output.txt) run from it. Paper-vs-measured
+comparisons live in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -68,7 +71,7 @@ def _trees_equivalent(a: DecisionTree, b: DecisionTree, rel: float = 1e-6) -> bo
 # T1 — Fig 8a: random forest training time vs iterations
 # ----------------------------------------------------------------------
 def t1_random_forest(
-    spark: SparkSession, sf: float = 0.1, n_trees: int = 8, seed: int = 0
+    spark: SparkSession, sf: float = 0.5, n_trees: int = 8, seed: int = 0
 ) -> ExperimentResult:
     data = favorita(spark, sf=sf, n_extra_features=8, seed=seed)
     params = TrainParams(max_leaves=8)
@@ -117,7 +120,7 @@ def t1_random_forest(
 # T2 — Fig 8b,c: gradient boosting time + rmse vs iterations
 # ----------------------------------------------------------------------
 def t2_gradient_boosting(
-    spark: SparkSession, sf: float = 0.1, n_iters: int = 8, seed: int = 0
+    spark: SparkSession, sf: float = 0.5, n_iters: int = 6, seed: int = 0
 ) -> ExperimentResult:
     data = favorita(spark, sf=sf, n_extra_features=8, seed=seed)
     params = TrainParams(max_leaves=8)
@@ -225,11 +228,30 @@ def t3_query_census(
 # ----------------------------------------------------------------------
 # T4 — Fig 10: scaling the number of features
 # ----------------------------------------------------------------------
+def _gb_vs_library(graph, n_iters: int, lib_budget_mb: float) -> tuple:
+    """GB seconds per iteration, JoinBoost vs the library pipeline under
+    a memory gate: ``(jb_s, lib_s, gated)``, ``lib_s`` None when gated."""
+    params = TrainParams(max_leaves=8)
+    fit = GradientBoosting(
+        graph, n_iters=n_iters, learning_rate=0.1, params=params
+    ).fit()
+    jb_s = fit.total_seconds() / n_iters
+    try:
+        pipe = export_load(graph, memory_budget_bytes=int(lib_budget_mb * 1e6))
+    except MemoryGateError:
+        return jb_s, None, True
+    lib = NpGBM(
+        pipe.pdf, _features(graph), _features(graph), "y",
+        n_iters=n_iters, learning_rate=0.1, params=params,
+    ).fit()
+    return jb_s, (pipe.total_seconds + lib.total_seconds()) / n_iters, False
+
+
 def t4_feature_scaling(
     spark: SparkSession,
     sf: float = 0.05,
     feature_counts: Sequence[int] = (5, 15, 30, 50),
-    n_iters: int = 3,
+    n_iters: int = 2,
     lib_budget_mb: float = 50.0,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -237,26 +259,9 @@ def t4_feature_scaling(
         "T4", f"GB per-iteration time vs #features (Favorita-lite SF={sf}, "
               f"{n_iters} iters, library memory budget {lib_budget_mb:.0f} MB)"
     )
-    params = TrainParams(max_leaves=8)
     for k in feature_counts:
         data = favorita(spark, sf=sf, n_extra_features=k - 5, seed=seed)
-        gb = GradientBoosting(
-            data.graph, n_iters=n_iters, learning_rate=0.1, params=params
-        )
-        fit = gb.fit()
-        jb_s = fit.total_seconds() / n_iters
-        try:
-            pipe = export_load(
-                data.graph, memory_budget_bytes=int(lib_budget_mb * 1e6)
-            )
-            lib = NpGBM(
-                pipe.pdf, _features(data.graph), _features(data.graph), "y",
-                n_iters=n_iters, learning_rate=0.1, params=params,
-            ).fit()
-            lib_s = (pipe.total_seconds + lib.total_seconds()) / n_iters
-            gated = False
-        except MemoryGateError:
-            lib_s, gated = None, True
+        jb_s, lib_s, gated = _gb_vs_library(data.graph, n_iters, lib_budget_mb)
         res.rows.append(
             {
                 "n_features": k,
@@ -279,7 +284,7 @@ def t5_size_scaling(
     spark: SparkSession,
     sfs: Sequence[float] = (0.02, 0.05, 0.1),
     n_features: int = 10,
-    n_iters: int = 3,
+    n_iters: int = 2,
     lib_budget_mb: float = 30.0,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -287,26 +292,9 @@ def t5_size_scaling(
         "T5", f"GB per-iteration time vs TPC-DS-lite SF ({n_features} features, "
               f"{n_iters} iters, library memory budget {lib_budget_mb:.0f} MB)"
     )
-    params = TrainParams(max_leaves=8)
     for sf in sfs:
         data = tpcds(spark, sf=sf, n_features=n_features, seed=seed)
-        gb = GradientBoosting(
-            data.graph, n_iters=n_iters, learning_rate=0.1, params=params
-        )
-        fit = gb.fit()
-        jb_s = fit.total_seconds() / n_iters
-        try:
-            pipe = export_load(
-                data.graph, memory_budget_bytes=int(lib_budget_mb * 1e6)
-            )
-            lib = NpGBM(
-                pipe.pdf, _features(data.graph), _features(data.graph), "y",
-                n_iters=n_iters, learning_rate=0.1, params=params,
-            ).fit()
-            lib_s = (pipe.total_seconds + lib.total_seconds()) / n_iters
-            gated = False
-        except MemoryGateError:
-            lib_s, gated = None, True
+        jb_s, lib_s, gated = _gb_vs_library(data.graph, n_iters, lib_budget_mb)
         res.rows.append(
             {
                 "sf": sf,
@@ -667,3 +655,22 @@ def t11_parallelism_ablation(
         "paper Fig 18: inter-query parallelism cuts GB by 28% and RF by 35%"
     )
     return res
+
+
+# ----------------------------------------------------------------------
+# The registry: table id → (harness, the keyword parameters the command
+# line exposes as flags). Defaults and types come from the signature.
+# ----------------------------------------------------------------------
+TABLES = {
+    "t1": (t1_random_forest, ("sf", "n_trees")),
+    "t2": (t2_gradient_boosting, ("sf", "n_iters")),
+    "t3": (t3_query_census, ("sf",)),
+    "t4": (t4_feature_scaling, ("sf", "n_iters")),
+    "t5": (t5_size_scaling, ("n_iters",)),
+    "t6": (t6_parallelism, ("sf",)),
+    "t7": (t7_galaxy, ("n_iters",)),
+    "t8": (t8_residual_update, ("n_rows",)),
+    "t9": (t9_lmfao, ("sf", "max_leaves")),
+    "t10": (t10_madlib, ("n_rows",)),
+    "t11": (t11_parallelism_ablation, ("sf",)),
+}

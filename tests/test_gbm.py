@@ -242,3 +242,18 @@ class TestGalaxyGBM:
         """Galaxy training touches only base-table-sized frames; the
         blow-up factor documents why the library baseline is gated."""
         assert imdb_tiny.join_rows > len(imdb_tiny.tables["cast_info"])
+
+
+@pytest.mark.parametrize("data", ["star_int", "imdb_tiny"])
+def test_fit_frees_its_cache(spark, request, data):
+    """A fit unpersists what it cached (residual copy or cluster-fact
+    annotations, messages, lifted facts). The session is shared, so this
+    compares persistent RDD ids instead of clearing the cache."""
+    g = request.getfixturevalue(data).graph
+
+    def persistent():
+        return set(spark.sparkContext._jsc.getPersistentRDDs().keys())
+
+    before = persistent()
+    GradientBoosting(g, n_iters=2, params=PARAMS).fit()
+    assert persistent() <= before
