@@ -32,7 +32,7 @@ from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
 from .semiring import PREFIX, VarianceSemiring
-from .star_trainer import StarTreeTrainer
+from .star_trainer import StarTreeTrainer, star_columns
 from .trainer import FactorizedTreeTrainer, TrainParams
 from .tree import DecisionTree, TreeEnsemble
 
@@ -73,9 +73,11 @@ class RandomForest:
         self._lifted_base: Optional[DataFrame] = None
         self._star_template: Optional[StarTreeTrainer] = None
         try:
-            self._star_template = StarTreeTrainer(graph, self.params)
+            star_columns(graph, self.fact)
         except ValueError:  # not a star: general message passing
             pass
+        else:
+            self._star_template = StarTreeTrainer(graph, self.params)
 
     def _sample_features(self, rng: np.random.Generator) -> List[str]:
         feats = [f for f, _, _ in self.graph.all_features()]

@@ -17,7 +17,9 @@ Two interchangeable implementations:
   Spark SQL; used by the fidelity trainer mode and oracle tests.
 * :func:`best_split_np` — vectorized NumPy twin over the collected
   stats (the paper's "Pandas/R dataframe backend"); used by the fast
-  trainer path. Tests assert both return the same split.
+  trainer paths. It takes a stats frame, or the star trainer's
+  ``(values, c, s)`` arrays already in value order, which skip the
+  sort. Tests assert both return the same split.
 
 Numeric features split as ``X <= v`` / ``X > v`` (inclusive prefix
 sums, last value excluded so no empty side); categorical features split
@@ -26,7 +28,7 @@ one-vs-rest ``X == v`` / ``X != v``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -86,7 +88,7 @@ def _gain(
 
 
 def best_split_np(
-    stats: pd.DataFrame,
+    stats: Union[pd.DataFrame, Tuple[np.ndarray, np.ndarray, np.ndarray]],
     feature: str,
     numeric: bool,
     c_total: float,
@@ -94,21 +96,25 @@ def best_split_np(
     reg_lambda: float = 0.0,
     min_child: float = 1.0,
 ) -> Optional[Split]:
-    """Best split for one feature from its ``(value, __c, __s)`` stats."""
-    if stats.empty:
+    """Best split for one feature from its ``(value, __c, __s)`` stats:
+    a DataFrame, or a ``(values, c, s)`` tuple of arrays already in
+    value order."""
+    if isinstance(stats, pd.DataFrame):
+        # deterministic tie-break: smallest value wins, matching the SQL
+        # variant's ORDER BY criteria DESC, value
+        stats = stats.sort_values(feature, kind="stable")
+        vals = stats[feature].to_numpy()
+        c = stats[PREFIX + "c"].to_numpy(dtype="float64")
+        s = stats[PREFIX + "s"].to_numpy(dtype="float64")
+    else:
+        vals, c, s = stats
+    if len(vals) == 0:
         return None
-    # deterministic tie-break: smallest value wins, matching the SQL
-    # variant's ORDER BY criteria DESC, value
-    stats = stats.sort_values(feature, kind="stable")
-    c = stats[PREFIX + "c"].to_numpy(dtype="float64")
-    s = stats[PREFIX + "s"].to_numpy(dtype="float64")
-    vals = stats[feature].to_numpy()
     if numeric:
-        order = np.argsort(vals, kind="stable")
-        vals, c, s = vals[order], np.cumsum(c[order]), np.cumsum(s[order])
         if len(vals) < 2:
             return None
-        vals, c, s = vals[:-1], c[:-1], s[:-1]  # never an empty right side
+        # never an empty right side
+        vals, c, s = vals[:-1], np.cumsum(c)[:-1], np.cumsum(s)[:-1]
     gains = _gain(c, s, c_total, s_total, reg_lambda)
     ok = (c >= min_child) & (c_total - c >= min_child) & np.isfinite(gains)
     if not ok.any():

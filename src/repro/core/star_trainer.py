@@ -16,19 +16,25 @@ one ``GROUPING SETS`` aggregation —
     GROUP BY GROUPING SETS ((k₁), …, (k_m), ())
 
 where ``k_i`` are the fact-side join keys (plus fact-local feature
-columns) and the empty set yields the node totals. Absorption — joining
-each per-key message with its (tiny, driver-resident) dimension table
-and grouping by the feature — runs vectorized on the driver, the
-paper's own "Pandas dataframe backend" (§5.1 lists dataframes as a
-supported backend). Aggregation pushdown is identical: the fact is
-aggregated by join key *before* any contact with the dimensions, and
-``R⋈`` is never materialized.
+columns) and the empty set yields the node totals. The result is split
+once into per-column ``(keys, c, s)`` arrays (:class:`NodeStats`).
+Absorption (§3.2) — joining each per-key message with its (tiny,
+driver-resident) dimension and grouping by the feature — runs on the
+driver on integer codes, LightGBM's pre-binned histograms (Ke et al.,
+2017) applied to a message that is already aggregated: each dimension
+is encoded once, as a key → row index and, per feature, the codes of
+its sorted distinct values, so a node maps its keys to rows once per
+dimension and absorbs each feature with one ``np.bincount`` of ``c``
+and ``s``, already in value order for split scoring. Aggregation
+pushdown is identical: the fact is aggregated by join key *before*
+any contact with the dimensions, and ``R⋈`` is never materialized.
+A dimension that repeats a join key raises ``ValueError``.
 
 Growth is the shared best-first loop :func:`~repro.core.tree.grow`
 (Algorithm 1); this module supplies only a node's candidate splits,
 from its one batched job, and its children's predicate contexts. A
-right child's stats are derived as parent − left on the driver, and
-only when that child is scored.
+right child's stats are derived as parent − left on the aligned key
+arrays, and only when that child is scored.
 
 The hub is the fact the batch aggregates. Requirement (checked by
 :func:`star_columns` from the graph alone, before any dimension is
@@ -56,9 +62,10 @@ annotations. Deeper schemas use the general engine.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
@@ -77,6 +84,66 @@ PredContext = Dict[str, Tuple[Pred, ...]]
 
 def _ctx_key(ctx: PredContext) -> frozenset:
     return frozenset((r, p) for r, preds in ctx.items() for p in preds)
+
+
+@dataclass
+class NodeStats:
+    """One node's ``GROUPING SETS`` result as arrays: the totals and,
+    per grouping column, its distinct keys with their ``(c, s)`` sums."""
+
+    c: float
+    s: float
+    groups: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    #: grouping column → its keys' dimension rows and their ``(c, s)``,
+    #: keys missing from the dimension dropped (filled by ``_absorb``)
+    rows: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+
+    @classmethod
+    def split(cls, out: pd.DataFrame, cols: Sequence[str]) -> "NodeStats":
+        """Split the collected result by ``grouping_id`` once."""
+        gid = out["__gid"].to_numpy()
+        c = out[PREFIX + "c"].to_numpy(dtype="float64")
+        s = out[PREFIX + "s"].to_numpy(dtype="float64")
+        full = (1 << len(cols)) - 1
+        groups = {}
+        for i, col in enumerate(cols):
+            at = gid == full ^ (1 << (len(cols) - 1 - i))
+            groups[col] = (out[col].to_numpy()[at], c[at], s[at])
+        at = np.flatnonzero(gid == full)
+        c0, s0 = (c[at[0]], s[at[0]]) if len(at) else (0.0, 0.0)
+        # an empty node's totals are NULL
+        return cls(float(np.nan_to_num(c0)), float(np.nan_to_num(s0)), groups)
+
+
+@dataclass(frozen=True)
+class _Dim:
+    """A dimension encoded once: its key → row index and, per feature,
+    each row's code into the feature's sorted distinct values (−1 for
+    NULL, so NULLs drop out of absorption as ``groupby`` drops them)."""
+
+    index: pd.Index
+    codes: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def encode(
+        cls, name: str, key: str, pdf: pd.DataFrame, features: Sequence[str]
+    ) -> "_Dim":
+        """Raises ``ValueError`` on a repeated key: the dimension is the
+        one-side of its edge, and a repeat would count fact rows twice."""
+        index = pd.Index(pdf[key])
+        if not index.is_unique:
+            dup = index[index.duplicated()][0]
+            raise ValueError(
+                f"dimension {name!r} repeats its join key {key!r} "
+                f"(e.g. {dup!r}); the one-side of an edge needs unique keys"
+            )
+        codes = {}
+        for f in features:
+            code, values = pd.factorize(pdf[f], sort=True)
+            codes[f] = (code, values.to_numpy())
+        return cls(index, codes)
 
 
 def star_columns(graph: JoinGraph, hub: str) -> Dict[str, Tuple[str, Optional[str]]]:
@@ -134,12 +201,21 @@ class StarTreeTrainer:
         for name in sorted(graph.clusters()[hub] - {hub}):
             if name not in self.dim_pandas:
                 self.dim_pandas[name] = graph.relations[name].df.toPandas()
+        by_dim: Dict[str, List[str]] = {}
+        for f, (col, dim) in self.feature_col.items():
+            if dim is not None:
+                by_dim.setdefault(dim, []).append(f)
+        self._dims = {
+            dim: _Dim.encode(dim, self.feature_col[fs[0]][0], self.dim_pandas[dim], fs)
+            for dim, fs in sorted(by_dim.items())
+        }
         self.fact: Optional[DataFrame] = None
-        self._memo: Dict[frozenset, pd.DataFrame] = {}
+        self._memo: Dict[frozenset, NodeStats] = {}
         self.jobs_run = 0
 
     def clone(self) -> "StarTreeTrainer":
-        """A cheap copy sharing the (read-only) driver-side dimensions.
+        """A cheap copy sharing the (read-only) driver-side dimensions
+        and their encoding.
 
         Used by the random forest to give each thread-parallel tree its
         own fact annotation and stats memo without re-collecting dims.
@@ -158,8 +234,8 @@ class StarTreeTrainer:
         self._memo.clear()
 
     # -- node evaluation -------------------------------------------------
-    def _node_stats(self, ctx: PredContext, cols: Sequence[str]) -> pd.DataFrame:
-        """The node's batched message table (memoized per context)."""
+    def _node_stats(self, ctx: PredContext, cols: Sequence[str]) -> NodeStats:
+        """The node's batched message table as arrays (memoized per context)."""
         key = _ctx_key(ctx)
         if key in self._memo:
             return self._memo[key]
@@ -178,8 +254,8 @@ class StarTreeTrainer:
             .toPandas()
         )
         self.jobs_run += 1
-        self._memo[key] = out
-        return out
+        stats = self._memo[key] = NodeStats.split(out, cols)
+        return stats
 
     def _derive_sibling(
         self,
@@ -193,46 +269,63 @@ class StarTreeTrainer:
         The split partitions ``R⋈``, so every per-key semi-ring sum of
         the right child is exactly the parent's minus the left child's —
         LightGBM's histogram-subtraction trick, here saving one Spark
-        job per split. The result is installed into the memo so
-        ``_best`` never issues a query for the right child.
+        job per split. The left child's keys are a subset of the
+        parent's; keys left with ``c <= 0.5`` have no rows and drop out.
+        The result is installed into the memo so ``_best`` never issues
+        a query for the right child.
         """
         parent = self._node_stats(parent_ctx, cols)
         left = self._node_stats(left_ctx, cols)
-        on = ["__gid"] + list(cols)
-        merged = parent.merge(left, on=on, how="left", suffixes=("", "_l"))
-        for comp in ("c", "s"):
-            lcol = PREFIX + comp + "_l"
-            merged[lcol] = merged[lcol].fillna(0.0)
-            merged[PREFIX + comp] = merged[PREFIX + comp] - merged[lcol]
-        out = merged[[*on, PREFIX + "c", PREFIX + "s"]]
-        out = out[out[PREFIX + "c"] > 0.5].reset_index(drop=True)
-        self._memo[_ctx_key(right_ctx)] = out
+        groups = {}
+        for col, (keys, c, s) in parent.groups.items():
+            lkeys, lc, ls = left.groups[col]
+            at = pd.Index(keys).get_indexer(lkeys)
+            c, s = c.copy(), s.copy()
+            c[at] -= lc
+            s[at] -= ls
+            keep = c > 0.5
+            groups[col] = (keys[keep], c[keep], s[keep])
+        self._memo[_ctx_key(right_ctx)] = NodeStats(
+            parent.c - left.c, parent.s - left.s, groups
+        )
 
     def _grouping_cols(self, features: Sequence[str]) -> List[str]:
         return sorted({self.feature_col[f][0] for f in features})
 
-    def _totals(self, stats: pd.DataFrame, cols: Sequence[str]) -> Tuple[float, float]:
-        gid_all = (1 << len(cols)) - 1
-        row = stats[stats["__gid"] == gid_all]
-        if row.empty or row[PREFIX + "c"].iloc[0] is None:
-            return 0.0, 0.0
-        return float(row[PREFIX + "c"].iloc[0] or 0), float(row[PREFIX + "s"].iloc[0] or 0)
+    def _absorb(
+        self, stats: NodeStats, feature: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One feature's ``(values, c, s)`` at a node, in value order
+        (§3.2 absorption).
 
-    def _feature_stats(
-        self, stats: pd.DataFrame, cols: Sequence[str], feature: str
-    ) -> pd.DataFrame:
+        A dimension feature maps the node's keys to dimension rows (once
+        per grouping column, shared by the dimension's features) and
+        sums ``c`` and ``s`` per value code with ``np.bincount``. Keys
+        missing from the dimension and NULL values drop out. A fact-local
+        feature's keys are its values, NULL ordered last.
+        """
         col, dim = self.feature_col[feature]
-        i = list(cols).index(col)
-        gid = ((1 << len(cols)) - 1) ^ (1 << (len(cols) - 1 - i))
-        slice_ = stats[stats["__gid"] == gid][[col, PREFIX + "c", PREFIX + "s"]]
+        keys, c, s = stats.groups[col]
         if dim is None:
-            return slice_.rename(columns={col: feature}) if col != feature else slice_
-        pdf = self.dim_pandas[dim][[col, feature]]
-        merged = slice_.merge(pdf, on=col, how="inner")
+            codes, _ = pd.factorize(keys, sort=True)
+            order = np.argsort(np.where(codes < 0, len(codes), codes), kind="stable")
+            return keys[order], c[order], s[order]
+        found = stats.rows.get(col)
+        if found is None:
+            rows = self._dims[dim].index.get_indexer(keys)
+            hit = rows >= 0
+            found = stats.rows[col] = (rows[hit], c[hit], s[hit])
+        rows, c, s = found
+        all_codes, values = self._dims[dim].codes[feature]
+        codes = all_codes[rows]
+        hit = codes >= 0
+        codes, c, s = codes[hit], c[hit], s[hit]
+        n = len(values)
+        present = np.bincount(codes, minlength=n) > 0
         return (
-            merged.groupby(feature, sort=False)[[PREFIX + "c", PREFIX + "s"]]
-            .sum()
-            .reset_index()
+            values[present],
+            np.bincount(codes, c, n)[present],
+            np.bincount(codes, s, n)[present],
         )
 
     def _candidates(
@@ -249,7 +342,7 @@ class StarTreeTrainer:
         stats = self._node_stats(ctx, cols)
         return [
             best_split_np(
-                self._feature_stats(stats, cols, f), f, num, c_tot, s_tot,
+                self._absorb(stats, f), f, num, c_tot, s_tot,
                 reg_lambda=p.reg_lambda, min_child=p.min_child,
             )
             for f, _, num in allowed
@@ -311,7 +404,8 @@ class StarTreeTrainer:
             if f in self.feature_col and (features is None or f in features)
         )
         cols = self._grouping_cols([f for f, _, _ in allowed])
-        c0, s0 = self._totals(self._node_stats({}, cols), cols)
+        root = self._node_stats({}, cols)
+        c0, s0 = root.c, root.s
         fresh = [a for a in allowed if a[0] not in scored]
         scored.update(f for f, _, _ in allowed)
         split = top_split(self.params, self._candidates({}, c0, s0, fresh, cols))

@@ -13,7 +13,7 @@ from repro.core.gbm import GradientBoosting
 from repro.core.join_graph import JoinGraph
 from repro.core.messages import MessageEngine
 from repro.core.residual import GalaxyAnnotationUpdater, leaf_condition
-from repro.core.semiring import PREFIX, VarianceSemiring
+from repro.core.semiring import VarianceSemiring
 from repro.core.star_trainer import StarTreeTrainer
 from repro.core.trainer import TrainParams
 from repro.core.tree import DecisionTree, Node, Pred
@@ -220,11 +220,9 @@ class TestLiftedFactOracle:
                 cols = star._grouping_cols(list(star.feature_col))
                 stats = star._node_stats({}, cols)
                 for f in star.feature_col:
-                    fs = star._feature_stats(stats, cols, f).rename(
-                        columns={f: "value", PREFIX + "c": "c", PREFIX + "s": "s"}
-                    )
+                    fs = pd.DataFrame(dict(zip(("value", "c", "s"), star._absorb(stats, f))))
                     assert_equivalent(
-                        spark.createDataFrame(fs[["value", "c", "s"]]),
+                        spark.createDataFrame(fs),
                         f"SELECT {f} AS value, CAST(COUNT(*) AS DOUBLE) AS c, "
                         f"SUM(resid) AS s FROM wide GROUP BY {f}",
                         wide=wide,

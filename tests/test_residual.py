@@ -128,7 +128,8 @@ class TestKeyFilter:
         st = StarTreeTrainer(g, TrainParams(max_leaves=4))
         st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["fact"].df, "y"))
         cols = st._grouping_cols(["fd"])
-        c, s = st._totals(st._node_stats({"dim": (pred,)}, cols), cols)
+        stats = st._node_stats({"dim": (pred,)}, cols)
+        c, s = stats.c, stats.s
         assert (c, s) == (len(sel), sel["y"].sum())
 
     def test_integer_keys(self, favorita_tiny):
@@ -165,7 +166,7 @@ class TestKeyFilter:
         st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["sales"].df, "y"))
         cols = st._grouping_cols([f for f, _, _ in g.all_features()])
         stats = st._node_stats({"stores": (pred,)}, cols)
-        assert st._totals(stats, cols) == (0.0, 0.0)
+        assert (stats.c, stats.s) == (0.0, 0.0)
 
     def test_empty_intermediate_hop(self, chain_graph):
         """An empty key set mid-path (Spark hop, no driver tables)."""
