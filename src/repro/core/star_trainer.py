@@ -94,8 +94,9 @@ class NodeStats:
     c: float
     s: float
     groups: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    #: grouping column → its keys' dimension rows and their ``(c, s)``,
-    #: keys missing from the dimension dropped (filled by ``_absorb``)
+    #: dimension → the node's keys' rows in it and their ``(c, s)``,
+    #: keys missing from the dimension dropped (filled by ``_absorb``;
+    #: keyed by dimension, as dimensions may share a grouping column)
     rows: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
@@ -299,7 +300,7 @@ class StarTreeTrainer:
         (§3.2 absorption).
 
         A dimension feature maps the node's keys to dimension rows (once
-        per grouping column, shared by the dimension's features) and
+        per dimension, shared by the dimension's features) and
         sums ``c`` and ``s`` per value code with ``np.bincount``. Keys
         missing from the dimension and NULL values drop out. A fact-local
         feature's keys are its values, NULL ordered last.
@@ -310,11 +311,11 @@ class StarTreeTrainer:
             codes, _ = pd.factorize(keys, sort=True)
             order = np.argsort(np.where(codes < 0, len(codes), codes), kind="stable")
             return keys[order], c[order], s[order]
-        found = stats.rows.get(col)
+        found = stats.rows.get(dim)
         if found is None:
             rows = self._dims[dim].index.get_indexer(keys)
             hit = rows >= 0
-            found = stats.rows[col] = (rows[hit], c[hit], s[hit])
+            found = stats.rows[dim] = (rows[hit], c[hit], s[hit])
         rows, c, s = found
         all_codes, values = self._dims[dim].codes[feature]
         codes = all_codes[rows]

@@ -74,6 +74,64 @@ class TestAbsorbMatchesPandas:
             np.testing.assert_array_equal(s, expect["sum"].to_numpy())
 
 
+class TestSharedKey:
+    """Two dimensions join the fact on the same key: ``db`` holds its
+    rows in another order and lacks some keys ``da`` holds, so each
+    dimension must map the node's keys to its own rows."""
+
+    @pytest.fixture(scope="class")
+    def shared(self, spark):
+        rng = np.random.default_rng(29)
+        n, nd = 700, 24
+        fact = pd.DataFrame(
+            {
+                "k": rng.integers(1, nd + 4, n),
+                "f_loc": rng.integers(1, 9, n),
+                "y": rng.integers(0, 50, n).astype("float64"),
+            }
+        )
+        da = pd.DataFrame({"k": np.arange(1, nd + 1), "fa": rng.integers(1, 40, nd)})
+        db = pd.DataFrame({"k": np.arange(1, nd + 1), "fb": rng.integers(1, 40, nd)})
+        db = db[~db["k"].isin([3, 8, 14, 20])].sample(frac=1.0, random_state=5)
+        g = JoinGraph()
+        g.add_relation(
+            "fact", spark.createDataFrame(fact), features=["f_loc"], numeric=["f_loc"], y="y"
+        )
+        for name, dim in (("da", da), ("db", db)):
+            f = "f" + name[1]
+            g.add_relation(name, spark.createDataFrame(dim), features=[f], numeric=[f])
+            g.add_edge("fact", name, ["k"])
+        return g, fact, {"da": da, "db": db}
+
+    @pytest.mark.parametrize("order", [("fa", "fb"), ("fb", "fa")])
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            {},
+            {"db": (Pred("fb", 20.0, True, True),)},
+            {"da": (Pred("fa", 20.0, False, True),)},
+        ],
+    )
+    def test_per_feature_stats(self, shared, ctx, order):
+        g, fact, dims = shared
+        star = StarTreeTrainer(g)
+        star.set_fact(VarianceSemiring(track_q=False).lift(g.relations["fact"].df, "y"))
+        stats = star._node_stats(ctx, star._grouping_cols(list(star.feature_col)))
+        node = fact
+        for rel, preds in ctx.items():
+            dim = dims[rel]
+            for p in preds:
+                dim = dim[p.mask(dim)]
+            node = node[node["k"].isin(dim["k"])]
+        for f in order:
+            wide = node.merge(dims["d" + f[1]], on="k", how="inner")
+            values, c, s = star._absorb(stats, f)
+            expect = wide.groupby(f)["y"].agg(["count", "sum"])
+            assert list(values) == list(expect.index), f
+            np.testing.assert_array_equal(c, expect["count"].to_numpy(dtype="float64"))
+            np.testing.assert_array_equal(s, expect["sum"].to_numpy())
+
+
 class TestDuplicateKeys:
     @pytest.fixture(scope="class")
     def dup(self, spark):
