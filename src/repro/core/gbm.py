@@ -26,8 +26,12 @@ per cluster); otherwise, and with ``fast=False``, on the general
 every feature. Leaf predicates are pushed down to the cluster fact
 against the star path's driver-side dimensions.
 
-Iteration timings are recorded per tree (train vs update split) for
-the T2/T4/T5/T7 table harnesses.
+Each update's copy is filled by the first job that reads it (see
+:mod:`~repro.core.residual`): the next tree's root query, or the rmse
+total when ``track_rmse`` is set. Without ``track_rmse`` nothing reads
+the last tree's update, so the fit skips it. Iteration timings are
+recorded per tree (train vs update split, see :class:`IterationLog`)
+for the T2/T4/T5/T7 table harnesses.
 """
 from __future__ import annotations
 
@@ -48,7 +52,17 @@ from .tree import TreeEnsemble
 
 @dataclass
 class IterationLog:
-    """Wall-clock accounting for one boosting iteration."""
+    """Wall-clock accounting for one boosting iteration.
+
+    ``update_seconds`` is the driver work of building the tree's residual
+    copy: its leaf conditions and its plan. The copy is filled by the
+    first job that reads it. With ``track_rmse`` that is the rmse total,
+    whose time ``update_seconds`` includes; otherwise it is the next
+    tree's root query, so the write counts in the next iteration's
+    ``tree_seconds``. A fit with ``track_rmse=False`` skips the last
+    update, which nothing would read, and logs ``update_seconds == 0.0``
+    for it.
+    """
 
     tree_seconds: float
     update_seconds: float
@@ -104,24 +118,27 @@ class GradientBoosting:
         ens = TreeEnsemble(base_score=base, learning_rate=self.lr)
         logs: List[IterationLog] = []
         try:
-            for _ in range(self.n_iters):
+            for i in range(self.n_iters):
                 t0 = time.perf_counter()
                 if stars:
                     tree = stars[0].train(others=stars[1:])
                 else:
                     tree = trainer.train(cpt=True)
                 t1 = time.perf_counter()
-                engine.set_annotation(tree.cluster, updater.update(tree))
-                rmse = None
-                if self.track_rmse:
+                ens.trees.append(tree)
+                rmse, update_s = None, 0.0
+                # the last update is read only by the rmse total
+                if self.track_rmse or i < self.n_iters - 1:
+                    engine.set_annotation(tree.cluster, updater.update(tree))
+                    update_s = updater.last_update_seconds
+                if self.track_rmse:  # the copy's first reader: it writes it
+                    t2 = time.perf_counter()
                     c, _, q = engine.total({})
                     rmse = (q / c) ** 0.5
-                ens.trees.append(tree)
+                    update_s += time.perf_counter() - t2
                 logs.append(
                     IterationLog(
-                        tree_seconds=t1 - t0,
-                        update_seconds=updater.last_update_seconds,
-                        rmse=rmse,
+                        tree_seconds=t1 - t0, update_seconds=update_s, rmse=rmse
                     )
                 )
         finally:  # the model needs none of the cached residuals/messages

@@ -31,6 +31,15 @@ filter.
 
 The paper's ``SET`` (in-place UPDATE) has no Spark analogue —
 DataFrames are immutable; EXPERIMENTS.md discusses the gap.
+
+**Residual copies are plan leaves.** Every copy an updater makes (the
+snowflake's residual table, each galaxy cluster fact's annotation) is a
+lazy local checkpoint of the projection that computes it
+(:class:`_Copies`). With driver-side dimensions, ``update`` itself runs
+no Spark job for ``create`` and ``swap``: the first job that reads the
+copy (the next tree's root query, or the rmse total) fills it, and from
+then on its plan is a leaf over its own blocks. So no query re-analyzes the CASE WHENs and IN-lists
+of earlier trees, and an update costs the same at tree 100 as at tree 1.
 """
 from __future__ import annotations
 
@@ -189,13 +198,55 @@ def _case_new_s(
     return s if expr is None else expr.otherwise(s)
 
 
+class _Copies:
+    """The residual copies of one relation, oldest first.
+
+    :meth:`push` makes ``localCheckpoint(eager=False)`` of a projection:
+    a DataFrame whose plan is one leaf over its own data, computed and
+    stored by the first job that reads it. Until then, that job computes
+    it from the copy before, so a copy is freed only once its successor
+    is filled (a read of a freed one fails with "Checkpoint block not
+    found" instead of recomputing), or at :meth:`close`.
+    """
+
+    def __init__(self) -> None:
+        self._chain: List[DataFrame] = []
+
+    def push(self, df: DataFrame) -> DataFrame:
+        if self._chain and _rdd(self._chain[-1]).isCheckpointed():
+            for old in self._chain[:-1]:
+                _release(old)
+            del self._chain[:-1]
+        copy = df.localCheckpoint(eager=False)
+        self._chain.append(copy)
+        return copy
+
+    def close(self) -> None:
+        for df in self._chain:
+            _release(df)
+        self._chain.clear()
+
+
+def _rdd(copy: DataFrame):
+    """The JVM RDD under a checkpointed DataFrame's ``LogicalRDD`` leaf."""
+    return copy._jdf.queryExecution().analyzed().rdd()
+
+
+def _release(copy: DataFrame) -> None:
+    """Free a checkpointed copy's blocks, which ``DataFrame.unpersist()``
+    leaves in place: they belong to the RDD under the plan leaf."""
+    _rdd(copy).unpersist(False)
+
+
 @dataclass
 class SnowflakeResidualUpdater:
     """Owns the fact table's residual column across boosting iterations.
 
     ``fact_df`` must already contain the target column ``y``; the
     residual ``__s`` is initialized to ``y − base_score`` (a lifted
-    *copy* — user data is never modified, paper §5.2).
+    *copy* — user data is never modified, paper §5.2). That centring is
+    tree 0, a single leaf predicting ``base_score`` applied at learning
+    rate 1, so every copy comes from :meth:`update`.
 
     ``payload_cols`` simulates the paper's ``CREATE-k`` microbenchmark:
     extra columns the create/naive strategies must carry through every
@@ -216,6 +267,7 @@ class SnowflakeResidualUpdater:
     dim_pandas: Optional[Dict[str, pd.DataFrame]] = None
     current: DataFrame = field(init=False)
     last_update_seconds: float = field(init=False, default=0.0)
+    _copies: _Copies = field(init=False, default_factory=_Copies)
 
     def __post_init__(self) -> None:
         if self.strategy not in ("naive", "create", "swap"):
@@ -223,9 +275,9 @@ class SnowflakeResidualUpdater:
         cols = list(self.needed_cols)
         if self.strategy in ("naive", "create"):
             cols += [c for c in self.payload_cols if c not in cols]
-        s = (F.col(self.y).cast("double") - F.lit(self.base_score)).alias(PREFIX + "s")
-        self.current = self.fact_df.select(*cols, s).cache()
-        self.current.count()
+        y = F.col(self.y).cast("double").alias(PREFIX + "s")
+        self.current = self.fact_df.select(*cols, y)
+        self.update(DecisionTree(Node(0, 0, prediction=self.base_score)), 1.0)
 
     # -- the engine-facing view ----------------------------------------
     def annotated(self) -> DataFrame:
@@ -234,9 +286,14 @@ class SnowflakeResidualUpdater:
         return self.current.withColumns({PREFIX + "c": F.lit(1.0), PREFIX + "q": s * s})
 
     # -- the per-iteration update ---------------------------------------
-    def update(self, tree: DecisionTree) -> DataFrame:
-        """Rewrite the residual column for one tree; returns
-        :meth:`annotated`, the fact's new annotation."""
+    def update(
+        self, tree: DecisionTree, learning_rate: Optional[float] = None
+    ) -> DataFrame:
+        """Rewrite the residual column for one tree (at ``learning_rate``,
+        the updater's by default); returns :meth:`annotated`, the fact's
+        new annotation. The new copy is filled by its first reader."""
+        t0 = time.perf_counter()
+        lr = self.learning_rate if learning_rate is None else learning_rate
         conds = [
             (
                 leaf_condition(self.graph, self.fact, leaf, self.dim_pandas),
@@ -244,57 +301,47 @@ class SnowflakeResidualUpdater:
             )
             for leaf in tree.leaves()
         ]
-        t0 = time.perf_counter()
-        old = self.current
         if self.strategy == "naive":
-            self.current = self._update_naive(conds, tree)
+            new = self._update_naive(conds, tree, lr)
         else:  # create and swap share the CASE WHEN; they differ in the
             # column set `current` carries (payload vs slim projection)
-            new_s = _case_new_s(conds, PREFIX + "s", self.learning_rate)
-            keep = [c for c in old.columns if c != PREFIX + "s"]
-            self.current = old.select(*keep, new_s.alias(PREFIX + "s")).cache()
-        self.current.count()
-        old.unpersist()
+            new = self._shift(conds, lr)
+        self.current = self._copies.push(new)
         self.last_update_seconds = time.perf_counter() - t0
         return self.annotated()
 
+    def _shift(self, conds: List[Tuple[Column, float]], lr: float) -> DataFrame:
+        """``current`` with ``s`` replaced by the CASE WHEN update."""
+        new_s = _case_new_s(conds, PREFIX + "s", lr)
+        keep = [c for c in self.current.columns if c != PREFIX + "s"]
+        return self.current.select(*keep, new_s.alias(PREFIX + "s"))
+
     def _update_naive(
-        self, conds: List[Tuple[Column, float]], tree: DecisionTree
+        self, conds: List[Tuple[Column, float]], tree: DecisionTree, lr: float
     ) -> DataFrame:
-        """Materialize U over the referenced fact columns, then F ⋈ U."""
+        """Build U over the referenced fact columns, then F ⋈ U."""
         old = self.current
         ref_cols = sorted(
             set(self._referenced_columns(tree)) & set(old.columns)
         )
         if not ref_cols:  # tree with a single leaf: constant shift
-            new_s = _case_new_s(conds, PREFIX + "s", self.learning_rate)
-            return old.select(
-                *[c for c in old.columns if c != PREFIX + "s"],
-                new_s.alias(PREFIX + "s"),
-            ).cache()
+            return self._shift(conds, lr)
         # −lr·p per leaf, as a direct CASE (never via s−(s−lr·p), which
         # would leak per-row float error into U and break distinctness)
         neg_p: Optional[Column] = None
         for cond, p in conds:
-            val = F.lit(-self.learning_rate * p)
+            val = F.lit(-lr * p)
             neg_p = F.when(cond, val) if neg_p is None else neg_p.when(cond, val)
         assert neg_p is not None
         u = (
             old.select(*ref_cols)
             .withColumn("__neg_p", neg_p.otherwise(F.lit(0.0)))
             .distinct()
-            .cache()
         )
-        u.count()
         keep = [c for c in old.columns if c != PREFIX + "s"]
-        out = (
-            old.join(u, on=ref_cols, how="inner")
-            .select(*keep, (F.col(PREFIX + "s") + F.col("__neg_p")).alias(PREFIX + "s"))
-            .cache()
+        return old.join(u, on=ref_cols, how="inner").select(
+            *keep, (F.col(PREFIX + "s") + F.col("__neg_p")).alias(PREFIX + "s")
         )
-        out.count()
-        u.unpersist()
-        return out
 
     def _referenced_columns(self, tree: DecisionTree) -> List[str]:
         """Fact columns the update relation U projects (paper §4.2.1's A).
@@ -314,7 +361,7 @@ class SnowflakeResidualUpdater:
         return sorted(cols)
 
     def close(self) -> None:
-        self.current.unpersist()
+        self._copies.close()
 
 
 @dataclass
@@ -344,12 +391,11 @@ class GalaxyAnnotationUpdater:
     #: push-down without collect jobs
     dim_pandas: Optional[Dict[str, pd.DataFrame]] = None
     last_update_seconds: float = field(init=False, default=0.0)
-
-    def annotation(self, fact: str) -> Optional[DataFrame]:
-        return self.annotations.get(fact)
+    _copies: Dict[str, _Copies] = field(init=False, default_factory=dict)
 
     def update(self, tree: DecisionTree) -> DataFrame:
-        """Fold one CPT tree's predictions into its cluster fact."""
+        """Fold one CPT tree's predictions into its cluster fact, as a new
+        copy of its annotation that the first reader fills."""
         fact = tree.cluster
         if fact is None:
             raise ValueError("tree has no cluster — was it trained with cpt=True?")
@@ -375,21 +421,19 @@ class GalaxyAnnotationUpdater:
         assert p_expr is not None
         p = p_expr.otherwise(F.lit(0.0))
         keep = [x for x in base.columns if x not in (PREFIX + "s", PREFIX + "q")]
-        new = base.select(
-            *keep,
-            (s - p * c).alias(PREFIX + "s"),
-            (q + p * p * c - 2 * p * s).alias(PREFIX + "q"),
-        ).cache()
-        new.count()
-        old = self.annotations.get(fact)
+        new = self._copies.setdefault(fact, _Copies()).push(
+            base.select(
+                *keep,
+                (s - p * c).alias(PREFIX + "s"),
+                (q + p * p * c - 2 * p * s).alias(PREFIX + "q"),
+            )
+        )
         self.annotations[fact] = new
-        if old is not None:
-            old.unpersist()
         self.last_update_seconds = time.perf_counter() - t0
         return new
 
     def close(self) -> None:
-        for df in self.annotations.values():
-            if df is not None:
-                df.unpersist()
+        for copies in self._copies.values():
+            copies.close()
+        self._copies.clear()
         self.annotations.clear()

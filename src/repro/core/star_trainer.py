@@ -389,7 +389,7 @@ class StarTreeTrainer:
         :meth:`_grow`. With an engine, first installs the lifted fact
         projected to the columns the batch groups by. It is cached only
         when a message was multiplied in; otherwise it is the hub's own
-        annotation, such as a snowflake's cached residual copy.
+        annotation, such as a snowflake's checkpointed residual copy.
         """
         if self.engine is not None:
             keep = self._grouping_cols(list(self.feature_col))

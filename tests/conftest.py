@@ -91,3 +91,11 @@ def chain_graph(spark):
 def imdb_tiny(spark):
     """Galaxy schema small enough to materialize for oracles."""
     return imdb(spark, n_movies=60, mean_cast=4.0, mean_companies=2.0, seed=13)
+
+
+@pytest.fixture(scope="session")
+def next_job_id(spark):
+    """Returns the id the next Spark job gets; job ids are sequential, so
+    a difference of two readings counts the jobs run in between."""
+    sched = spark.sparkContext._jsc.sc().dagScheduler()
+    return lambda: int(sched.nextJobId())

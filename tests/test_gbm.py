@@ -257,3 +257,95 @@ def test_fit_frees_its_cache(spark, request, data):
     before = persistent()
     GradientBoosting(g, n_iters=2, params=PARAMS).fit()
     assert persistent() <= before
+
+
+@pytest.fixture(scope="module")
+def np_fits(star_int):
+    """NpGBM over ``R⋈`` at 1 and 10 iterations, the parity reference."""
+    wide = star_int.wide_pandas()
+    feats = [f for f, _, _ in star_int.graph.all_features()]
+    return {
+        n: NpGBM(
+            wide, feats, feats, "y", n_iters=n, learning_rate=0.1, params=PARAMS,
+            track_rmse=True,
+        ).fit()
+        for n in (1, 10)
+    }
+
+
+class TestResidualCopies:
+    """Each residual copy is a checkpoint its first reader fills: models,
+    rmse, released blocks and job counts stay those of the materialized
+    residuals."""
+
+    @pytest.mark.parametrize("track_rmse", [False, True])
+    @pytest.mark.parametrize("n_iters", [1, 10])
+    def test_matches_numpy(self, star_int, np_fits, n_iters, track_rmse):
+        res = GradientBoosting(
+            star_int.graph, n_iters=n_iters, learning_rate=0.1, params=PARAMS,
+            strategy="swap", track_rmse=track_rmse,
+        ).fit()
+        ref = np_fits[n_iters]
+        assert [t.to_dict() for t in res.ensemble.trees] == [
+            t.to_dict() for t in ref.ensemble.trees
+        ]
+        if track_rmse:
+            for a, b in zip(res.logs, ref.logs):
+                assert a.rmse == pytest.approx(b.rmse, rel=1e-9)
+
+    def test_untracked_fit_skips_last_update(self, star_int):
+        """Nothing reads the last update unless rmse is tracked."""
+        fits = {
+            track: GradientBoosting(
+                star_int.graph, n_iters=2, params=PARAMS, track_rmse=track
+            ).fit()
+            for track in (False, True)
+        }
+        assert [t.to_dict() for t in fits[False].ensemble.trees] == [
+            t.to_dict() for t in fits[True].ensemble.trees
+        ]
+        assert fits[False].logs[0].update_seconds > 0
+        assert fits[False].logs[-1].update_seconds == 0.0
+        assert fits[True].logs[-1].update_seconds > 0
+
+    def test_galaxy_rmse_matches_materialized_at_10(self, imdb_tiny):
+        res = GradientBoosting(
+            imdb_tiny.graph, n_iters=10, learning_rate=0.3,
+            params=TrainParams(max_leaves=3), track_rmse=True,
+        ).fit()
+        expect = res.ensemble.rmse_np(imdb_tiny.wide_pandas(), "rating")
+        assert res.logs[-1].rmse == pytest.approx(expect, rel=1e-6)
+
+    def test_at_most_two_copies_held(self, spark, star_int, monkeypatch):
+        """A copy is freed once its successor is filled, so a fit never
+        holds more than the current copy and the one being filled."""
+        from repro.core.residual import SnowflakeResidualUpdater
+        from repro.core.star_trainer import StarTreeTrainer
+
+        jsc = spark.sparkContext._jsc
+        before = set(jsc.getPersistentRDDs().keys())
+        held = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                held.append(len(set(jsc.getPersistentRDDs().keys()) - before))
+                return out
+            return wrapped
+
+        for cls, name in ((StarTreeTrainer, "train"), (SnowflakeResidualUpdater, "update")):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+        GradientBoosting(
+            star_int.graph, n_iters=4, params=PARAMS, track_rmse=True
+        ).fit()
+        assert len(held) == 4 + 5  # four trees; tree 0's centring and four updates
+        assert max(held) <= 2
+        assert set(jsc.getPersistentRDDs().keys()) <= before
+
+    def test_jobs_per_iteration_constant(self, star_int, next_job_id):
+        jobs = {}
+        for n in (2, 3, 4):
+            first = next_job_id()
+            GradientBoosting(star_int.graph, n_iters=n, params=PARAMS).fit()
+            jobs[n] = next_job_id() - first
+        assert jobs[3] - jobs[2] == jobs[4] - jobs[3] > 0

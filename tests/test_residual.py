@@ -1,5 +1,6 @@
 """Residual updates (paper §§4.1, 5.3, 5.4): push-down and strategies."""
 import datetime
+import time
 
 import numpy as np
 import pandas as pd
@@ -322,4 +323,53 @@ class TestStrategies:
         upd = _make_updater(favorita_tiny, "swap", dim_pandas=favorita_tiny.dims)
         upd.update(fav_tree)
         assert upd.last_update_seconds > 0
+        upd.close()
+
+    @pytest.mark.parametrize("strategy", ["naive", "create", "swap"])
+    def test_two_updates_then_one_read(self, favorita_tiny, fav_tree, strategy):
+        """A copy nothing has read yet still feeds the next update: the
+        read after two updates fills both and sees y − 2·lr·p(leaf)."""
+        upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+        upd.update(fav_tree)
+        upd.update(fav_tree)
+        keys = ["store_id", "item_id", "date_id"]
+        got = (
+            upd.current.select(*keys, PREFIX + "s").toPandas()
+            .sort_values(keys + [PREFIX + "s"]).reset_index(drop=True)
+        )
+        wide = favorita_tiny.wide_pandas()
+        expect = wide[keys].assign(
+            **{PREFIX + "s": wide["y"].to_numpy() - 2 * 0.1 * fav_tree.predict_np(wide)}
+        ).sort_values(keys + [PREFIX + "s"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, expect, check_dtype=False, atol=1e-9)
+        upd.close()
+
+    @pytest.mark.parametrize("strategy", ["create", "swap"])
+    def test_update_runs_no_spark_job(
+        self, next_job_id, favorita_tiny, fav_tree, strategy
+    ):
+        """With driver-side dimensions an update (the centring one in the
+        constructor too) only plans its copy; the copy's first reader
+        fills it."""
+        first = next_job_id()
+        upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+        upd.update(fav_tree)
+        assert next_job_id() == first
+        assert upd.current.count() == len(favorita_tiny.fact)
+        assert next_job_id() > first
+        upd.close()
+
+    def test_update_seconds_include_leaf_conditions(
+        self, monkeypatch, favorita_tiny, fav_tree
+    ):
+        import repro.core.residual as residual
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return leaf_condition(*args, **kwargs)
+
+        upd = _make_updater(favorita_tiny, "swap", dim_pandas=favorita_tiny.dims)
+        monkeypatch.setattr(residual, "leaf_condition", slow)
+        upd.update(fav_tree)
+        assert upd.last_update_seconds >= 0.05 * fav_tree.n_leaves()
         upd.close()
