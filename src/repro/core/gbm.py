@@ -19,12 +19,12 @@ schemas differ only in how the base score and the updater are built:
   cluster fact's annotation by ``lift(−lr·p)`` (addition-to-
   multiplication preserving).
 
-When every cluster is a star around its fact, trees grow on the batched
-star path over each cluster's lifted fact (one :class:`StarTreeTrainer`
-per cluster); otherwise, and with ``fast=False``, on the general
-:class:`FactorizedTreeTrainer` with CPT, which with one cluster keeps
-every feature. Leaf predicates are pushed down to the cluster fact
-against the star path's driver-side dimensions.
+Trees grow on the batched star path over each cluster's lifted fact
+(one :class:`StarTreeTrainer` per cluster), each branch out of a
+cluster fact flattened into one driver-side table, however many hops
+deep. Leaf predicates are pushed down to the cluster fact against those
+same tables. A feature whose relation lies in no cluster raises
+``ValueError`` before any table is collected.
 
 Each update's copy is filled by the first job that reads it (see
 :mod:`~repro.core.residual`): the next tree's root query, or the rmse
@@ -45,8 +45,8 @@ from .join_graph import JoinGraph
 from .messages import MessageEngine
 from .residual import GalaxyAnnotationUpdater, SnowflakeResidualUpdater
 from .semiring import VarianceSemiring
-from .star_trainer import StarTreeTrainer, star_columns
-from .trainer import FactorizedTreeTrainer, TrainParams
+from .star_trainer import StarTreeTrainer
+from .trainer import TrainParams
 from .tree import TreeEnsemble
 
 
@@ -90,7 +90,6 @@ class GradientBoosting:
         params: Optional[TrainParams] = None,
         strategy: str = "swap",
         track_rmse: bool = False,
-        fast: bool = True,
     ) -> None:
         graph.validate_tree()
         self.graph = graph
@@ -99,20 +98,14 @@ class GradientBoosting:
         self.params = params or TrainParams()
         self.strategy = strategy
         self.track_rmse = track_rmse
-        self.fast = fast
         self.snowflake = graph.is_snowflake()
 
     # ------------------------------------------------------------------
     def fit(self) -> GradientBoostingResult:
-        g = self.graph
         sr = VarianceSemiring(track_q=True)
-        # Prefer the batched star path per cluster (one GROUPING SETS job
-        # per node over the cluster's lifted fact, see star_trainer.py);
-        # fall back to general message passing otherwise.
-        stars = self._cluster_stars(sr) if self.fast else []
-        trainer = None if stars else FactorizedTreeTrainer(g, sr, self.params)
-        engine = stars[0].engine if stars else trainer.engine
-        tables = stars[0].dim_pandas if stars else None
+        # one GROUPING SETS job per node over a cluster's lifted fact
+        stars = self._cluster_stars(sr)
+        engine, tables = stars[0].engine, stars[0].dim_pandas
         start = self._snowflake_start if self.snowflake else self._galaxy_start
         base, updater = start(engine, tables)
         ens = TreeEnsemble(base_score=base, learning_rate=self.lr)
@@ -120,10 +113,7 @@ class GradientBoosting:
         try:
             for i in range(self.n_iters):
                 t0 = time.perf_counter()
-                if stars:
-                    tree = stars[0].train(others=stars[1:])
-                else:
-                    tree = trainer.train(cpt=True)
+                tree = stars[0].train(others=stars[1:])
                 t1 = time.perf_counter()
                 ens.trees.append(tree)
                 rmse, update_s = None, 0.0
@@ -148,19 +138,19 @@ class GradientBoosting:
 
     def _cluster_stars(self, sr: VarianceSemiring) -> List[StarTreeTrainer]:
         """One star trainer per CPT cluster, sharing a message engine and
-        the driver-side dimensions; empty unless every feature lies in a
-        cluster whose feature relations are its fact or adjacent to it."""
+        the flattened branches. Raises ``ValueError``, before any table
+        is collected, if a feature's relation lies in no cluster."""
         g = self.graph
         clusters = g.clusters()
-        if not clusters or not all(
-            any(r in m for m in clusters.values()) for _, r, _ in g.all_features()
-        ):
-            return []
-        try:  # every cluster is a star, checked before any collect
-            for h in clusters:
-                star_columns(g, h)
-        except ValueError:
-            return []
+        lost = [
+            f for f, r, _ in g.all_features()
+            if not any(r in m for m in clusters.values())
+        ]
+        if lost or not clusters:
+            raise ValueError(
+                f"features {lost} lie in no CPT cluster: their relations "
+                "are reached only over M-N edges"
+            )
         engine = MessageEngine(g, sr, eager=False)
         tables: dict = {}
         return [
@@ -170,7 +160,7 @@ class GradientBoosting:
 
     # -- snowflake (§4.1) -----------------------------------------------
     def _snowflake_start(
-        self, engine: MessageEngine, tables: Optional[dict]
+        self, engine: MessageEngine, tables: dict
     ) -> Tuple[float, SnowflakeResidualUpdater]:
         """Base score = mean of Y over F, which is 1-1 with ``R⋈``; the
         fact is annotated with its residual column."""
@@ -183,10 +173,10 @@ class GradientBoosting:
             fact_df=fact_y,
             y=g.y_column,
             base_score=base,
+            dim_pandas=tables,
             strategy=self.strategy,
             learning_rate=self.lr,
             needed_cols=self._needed_cols(fact, fact_y),
-            dim_pandas=tables,
         )
         engine.set_annotation(fact, updater.annotated())
         return base, updater
@@ -230,7 +220,7 @@ class GradientBoosting:
 
     # -- galaxy (§4.2) --------------------------------------------------
     def _galaxy_start(
-        self, engine: MessageEngine, tables: Optional[dict]
+        self, engine: MessageEngine, tables: dict
     ) -> Tuple[float, GalaxyAnnotationUpdater]:
         """Base score = mean of Y over ``R⋈`` (weighted by join
         multiplicity); Y's relation is then re-lifted centred at it, so
@@ -246,6 +236,6 @@ class GradientBoosting:
         # If R_Y is itself a cluster fact, its update annotations must
         # compose with (not replace) the Y lift.
         updater = GalaxyAnnotationUpdater(
-            g, learning_rate=self.lr, initial={y_rel: y_lifted}, dim_pandas=tables,
+            g, tables, learning_rate=self.lr, initial={y_rel: y_lifted}
         )
         return base, updater

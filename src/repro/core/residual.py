@@ -2,16 +2,18 @@
 
 **Predicate push-down.** A leaf predicate references dimension
 attributes; :func:`leaf_condition` translates it into a predicate over
-the fact table alone by walking each referenced relation's join path
-back to the fact and turning every hop into a semi-join
-(``key IN (SELECT key FROM σ(D))``, paper §4.1). Dimensions are small
-by assumption, so the matching key sets are collected to the driver and
-inlined by :func:`key_filter` as one SQL ``key IN (v₁, v₂, …)`` string,
-one JVM call however many keys. This keeps the final update a *single*
-narrow expression over F, which is what makes the CREATE/SWAP
-strategies cheap. :func:`fact_condition` is the one push-down shared by
-the snowflake update, the galaxy update and the star trainer's node
-filter.
+the fact table alone. Every dimension branch out of a cluster fact is
+N-to-1 at every hop, so :func:`flatten` joins the branch once into one
+driver-side table keyed by the fact's first-hop key (its messages
+absorbed once, §3.2). A predicate on any relation of the branch is then
+one mask over that table, and the matching first-hop keys are the
+semi-join ``key IN (SELECT key FROM σ(D))`` of §4.1, inlined by
+:func:`key_filter` as one SQL ``key IN (v₁, v₂, …)`` string, one JVM
+call however many keys. No push-down runs a Spark job. This keeps the
+final update a *single* narrow expression over F, which is what makes
+the CREATE/SWAP strategies cheap. :func:`fact_condition` is the one
+push-down shared by the snowflake update, the galaxy update and the
+star trainer's node filter.
 
 **Update strategies** (paper Fig 5 / Fig 15):
 
@@ -93,97 +95,77 @@ def key_filter(column: str, values: Sequence) -> Column:
     return F.expr(f"{name} IN ({literals})")
 
 
-def push_keys_to(
-    graph: JoinGraph,
-    target: str,
-    relation: str,
-    preds: Sequence[Pred],
-    tables: Optional[Dict[str, "pd.DataFrame"]] = None,
-) -> Tuple[str, List]:
-    """Push ``σ_preds(relation)`` to ``target`` as a key filter.
+def branch(graph: JoinGraph, fact: str, relation: str) -> str:
+    """The first hop from ``fact`` toward ``relation``: the dimension
+    whose flattened table holds ``relation``'s columns (``fact`` itself
+    for a fact-local relation)."""
+    return fact if relation == fact else graph.path(fact, relation)[1]
 
-    Walks the unique join-tree path relation → … → target, at each hop
-    collecting the matching join-key values (the semi-join rewrite
-    ``D_{i-1} ⋉ σ(D_i)`` of §4.1). Returns ``(key_col, values)`` where
-    ``key_col`` is a column of ``target``. Only single-column join keys
-    are supported on this fast path (all schemas here comply); the
-    general case would fall back to a left-semi join.
 
-    ``tables`` optionally maps relation names to driver-resident pandas
-    copies (dimensions are small by assumption); hops through those run
-    vectorized on the driver instead of issuing collect jobs.
+def flatten(graph: JoinGraph, dim: str) -> pd.DataFrame:
+    """``dim`` joined with everything past it along many→one edges, as
+    one driver-side table with ``dim``'s rows.
+
+    Projects ``dim`` to its join keys and features, then inner-merges
+    the flattened table of each many→one neighbour; a one-hop dimension
+    is returned without any merge. Raises ``ValueError`` naming the edge
+    when a merge changes the row count: a key dangles or repeats past
+    the first hop, and ``R⋈`` would drop or repeat the fact rows that
+    reach it.
     """
-    path = graph.path(relation, target)
-    assert path[0] == relation and path[-1] == target
-
-    def filtered_keys(name: str, key_in, key_vals, out_key: str) -> List:
-        """σ over relation ``name`` (pred filter and/or key filter) → out keys."""
-        if tables is not None and name in tables:
-            pdf = tables[name]
-            mask = np.ones(len(pdf), dtype=bool)
-            if name == relation:
-                for p in preds:
-                    mask &= p.mask(pdf)
-            if key_in is not None:
-                mask &= pdf[key_in].isin(key_vals).to_numpy()
-            return pd.unique(pdf.loc[mask, out_key]).tolist()
-        df = graph.relations[name].df
-        if name == relation:
-            for p in preds:
-                df = df.filter(p.col())
-        if key_in is not None:
-            df = df.filter(key_filter(key_in, key_vals))
-        return [r[0] for r in df.select(out_key).distinct().collect()]
-
-    key_in, key_vals = None, None
-    for i in range(len(path) - 1):
-        cur, nxt = path[i], path[i + 1]
-        edge = graph.edge(cur, nxt)
-        if len(edge.keys) != 1:
-            raise NotImplementedError("multi-column join keys on semi-join path")
-        key = edge.keys[0]
-        values = filtered_keys(cur, key_in, key_vals, key)
-        if i == len(path) - 2:
-            return key, values
-        key_in, key_vals = key, values
-    # relation == target: predicates already reference target's columns
-    raise AssertionError("unreachable: path has ≥2 relations when relation != target")
+    rel = graph.relations[dim]
+    keys = [k for e, _ in graph.neighbors(dim) for k in e.keys]
+    pdf = rel.df.select(*dict.fromkeys(keys + rel.features)).toPandas()
+    for e in graph.edges:
+        if e.n_to_one and e.many == dim:
+            joined = pdf.merge(flatten(graph, e.one), on=list(e.keys))
+            if len(joined) != len(pdf):
+                raise ValueError(
+                    f"edge {e.many!r} → {e.one!r} on {list(e.keys)} turns "
+                    f"{len(pdf)} rows of {dim!r} into {len(joined)}: a join "
+                    f"key dangles or repeats past the first hop"
+                )
+            pdf = joined
+    return pdf
 
 
 def fact_condition(
     graph: JoinGraph,
     fact: str,
-    preds_by_relation: Mapping[str, Sequence[Pred]],
-    tables: Optional[Dict[str, "pd.DataFrame"]] = None,
+    preds_by_branch: Mapping[str, Sequence[Pred]],
+    tables: Dict[str, pd.DataFrame],
 ) -> Column:
-    """Predicates grouped by their relation, as one predicate over ``fact``.
+    """Predicates grouped by their :func:`branch`, as one predicate over
+    ``fact``.
 
-    Predicates on ``fact`` apply as they are; those on any other
-    relation become a :func:`key_filter` on the keys
-    :func:`push_keys_to` collects.
+    Predicates on ``fact`` apply as they are. Those on a branch mask its
+    flattened table ``tables[branch]`` on the driver, and become a
+    :func:`key_filter` on the first-hop keys that survive.
     """
     cond = F.lit(True)
-    for rel, preds in sorted(preds_by_relation.items()):
+    for rel, preds in sorted(preds_by_branch.items()):
         if rel == fact:
             for p in preds:
                 cond = cond & p.col()
-        else:
-            key, values = push_keys_to(graph, fact, rel, preds, tables)
-            cond = cond & key_filter(key, values)
+            continue
+        pdf = tables[rel]
+        mask = np.ones(len(pdf), dtype=bool)
+        for p in preds:
+            mask &= p.mask(pdf)
+        key = graph.edge(fact, rel).keys[0]
+        cond = cond & key_filter(key, pd.unique(pdf.loc[mask, key]).tolist())
     return cond
 
 
 def leaf_condition(
-    graph: JoinGraph,
-    fact: str,
-    leaf: Node,
-    tables: Optional[Dict[str, "pd.DataFrame"]] = None,
+    graph: JoinGraph, fact: str, leaf: Node, tables: Dict[str, pd.DataFrame]
 ) -> Column:
     """Leaf predicate ``l.σ`` rewritten as a predicate over ``fact`` only."""
-    by_rel: Dict[str, List[Pred]] = {}
+    by_branch: Dict[str, List[Pred]] = {}
     for p in leaf.preds:
-        by_rel.setdefault(graph.feature_relation(p.feature), []).append(p)
-    return fact_condition(graph, fact, by_rel, tables)
+        rel = branch(graph, fact, graph.feature_relation(p.feature))
+        by_branch.setdefault(rel, []).append(p)
+    return fact_condition(graph, fact, by_branch, tables)
 
 
 def _case_new_s(
@@ -258,13 +240,13 @@ class SnowflakeResidualUpdater:
     fact_df: DataFrame
     y: str
     base_score: float
+    #: the flattened branches (:func:`flatten`) the leaf predicates are
+    #: pushed down against, keyed by branch
+    dim_pandas: Dict[str, pd.DataFrame]
     strategy: str = "swap"
     learning_rate: float = 0.1
     payload_cols: Sequence[str] = ()
     needed_cols: Sequence[str] = ()
-    #: optional driver-side copies of the dimension tables, so leaf
-    #: predicate push-down avoids per-leaf collect jobs
-    dim_pandas: Optional[Dict[str, pd.DataFrame]] = None
     current: DataFrame = field(init=False)
     last_update_seconds: float = field(init=False, default=0.0)
     _copies: _Copies = field(init=False, default_factory=_Copies)
@@ -347,17 +329,13 @@ class SnowflakeResidualUpdater:
         """Fact columns the update relation U projects (paper §4.2.1's A).
 
         A fact-local split feature references itself; a dimension split
-        references the fact's join key on the first hop of the path
-        toward that dimension (the column its semi-join filters on).
+        references the fact's join key to its :func:`branch` (the column
+        its semi-join filters on).
         """
         cols = set()
         for f in tree.referenced_features():
-            rel = self.graph.feature_relation(f)
-            if rel == self.fact:
-                cols.add(f)
-            else:
-                path = self.graph.path(self.fact, rel)
-                cols.add(self.graph.edge(path[0], path[1]).keys[0])
+            rel = branch(self.graph, self.fact, self.graph.feature_relation(f))
+            cols.add(f if rel == self.fact else self.graph.edge(self.fact, rel).keys[0])
         return sorted(cols)
 
     def close(self) -> None:
@@ -381,15 +359,15 @@ class GalaxyAnnotationUpdater:
     """
 
     graph: JoinGraph
+    #: the flattened branches (:func:`flatten`) of every cluster, keyed
+    #: by branch
+    dim_pandas: Dict[str, pd.DataFrame]
     learning_rate: float = 0.1
     #: per-cluster-fact annotated DataFrame (None ⇒ identity)
     annotations: Dict[str, Optional[DataFrame]] = field(default_factory=dict)
     #: pre-existing annotations to compose with (e.g. the Y relation's
     #: lift when R_Y itself is a cluster fact)
     initial: Dict[str, DataFrame] = field(default_factory=dict)
-    #: optional driver-side copies of small relations for predicate
-    #: push-down without collect jobs
-    dim_pandas: Optional[Dict[str, pd.DataFrame]] = None
     last_update_seconds: float = field(init=False, default=0.0)
     _copies: Dict[str, _Copies] = field(init=False, default_factory=dict)
 
@@ -398,7 +376,7 @@ class GalaxyAnnotationUpdater:
         copy of its annotation that the first reader fills."""
         fact = tree.cluster
         if fact is None:
-            raise ValueError("tree has no cluster — was it trained with cpt=True?")
+            raise ValueError("tree has no cluster: it was not trained with CPT")
         t0 = time.perf_counter()
         base = self.annotations.get(fact)
         if base is None:

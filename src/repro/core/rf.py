@@ -2,20 +2,19 @@
 
 Each tree trains on (a) a row sample of ``R⋈`` and (b) a feature
 sample, then predictions are averaged. Row sampling over the
-*non-materialized* join uses:
+*non-materialized* join uses the paper's snowflake shortcut: the fact
+table is 1-1 with ``R⋈``, so sample F directly ("Minor Optimizations",
+§5.5.2), as the Favorita experiments do. Each tree grows on the batched
+star path over its sample (:class:`StarTreeTrainer`), every dimension
+branch flattened on the driver once per forest.
 
-* the paper's snowflake shortcut — the fact table is 1-1 with ``R⋈``,
-  so sample F directly ("Minor Optimizations", §5.5.2); this is what
-  the Favorita experiments use, or
-* :func:`ancestral_sample` for general acyclic graphs — the paper's
-  ancestral-sampling scheme made vectorized: walk the join tree from a
-  root relation; at each relation draw the per-tuple multiplicities
-  from the marginal COUNT annotations (computed factorized, without
-  materializing ``R⋈``), conditioned on the keys sampled upstream.
+:func:`ancestral_sample` is the paper's general scheme for any acyclic
+join graph, made vectorized. No forest uses it: it stays as the §5.5.2
+oracle, checked to draw ``R⋈`` rows uniformly.
 
 Inter-query parallelism (paper §5.5.3 / Fig 18): trees are independent,
-so with ``n_jobs > 1`` they train on a thread pool, each with its own
-:class:`MessageEngine` (Spark happily runs concurrent jobs from
+so with ``n_jobs > 1`` they train on a thread pool, each on its own
+clone of one star trainer (Spark happily runs concurrent jobs from
 threads); this reproduces the paper's ~35% RF speed-up ablation (T11).
 """
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
@@ -32,8 +31,8 @@ from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
 from .semiring import PREFIX, VarianceSemiring
-from .star_trainer import StarTreeTrainer, star_columns
-from .trainer import FactorizedTreeTrainer, TrainParams
+from .star_trainer import StarTreeTrainer
+from .trainer import TrainParams
 from .tree import DecisionTree, TreeEnsemble
 
 
@@ -71,13 +70,7 @@ class RandomForest:
         self.seed = seed
         self.fact = next(iter(graph.clusters()))
         self._lifted_base: Optional[DataFrame] = None
-        self._star_template: Optional[StarTreeTrainer] = None
-        try:
-            star_columns(graph, self.fact)
-        except ValueError:  # not a star: general message passing
-            pass
-        else:
-            self._star_template = StarTreeTrainer(graph, self.params)
+        self._star_template = StarTreeTrainer(graph, self.params)
 
     def _sample_features(self, rng: np.random.Generator) -> List[str]:
         feats = [f for f, _, _ in self.graph.all_features()]
@@ -87,8 +80,6 @@ class RandomForest:
     def _train_one(self, i: int) -> Tuple[DecisionTree, float]:
         rng = np.random.default_rng(self.seed + i)
         t0 = time.perf_counter()
-        g = self.graph
-        sr = VarianceSemiring(track_q=False)
         # snowflake shortcut (§5.5.2): F is 1-1 with R⋈ — sample F directly
         assert self._lifted_base is not None
         sampled = self._lifted_base.sample(
@@ -100,17 +91,9 @@ class RandomForest:
         annotated = sampled.cache()
         annotated.count()
         try:
-            if self._star_template is not None:
-                star = self._star_template.clone()
-                star.set_fact(annotated)
-                tree = star.train(features=feats)
-            else:
-                # fresh trainer/engine per tree: samples differ, so messages
-                # from the fact side cannot be shared between trees anyway
-                trainer = FactorizedTreeTrainer(self.graph, sr, self.params)
-                trainer.engine.set_annotation(self.fact, annotated)
-                tree = trainer.train(features=feats)
-                trainer.engine.clear_cache()
+            star = self._star_template.clone()
+            star.set_fact(annotated)
+            tree = star.train(features=feats)
         finally:
             annotated.unpersist()
         return tree, time.perf_counter() - t0
@@ -160,8 +143,10 @@ def ancestral_sample(
        from the child-side conditional weights.
 
     Returns a pandas DataFrame holding the sampled join keys and all
-    feature/Y columns of every relation. Intended for modest ``n`` —
-    it drives correctness tests and the galaxy-RF path, not bulk scans.
+    feature/Y columns of every relation. Intended for modest ``n``: no
+    forest calls it (:class:`RandomForest` samples a snowflake's fact
+    directly); it is the §5.5.2 scheme's oracle, which the tests check
+    for uniformity over ``R⋈``, not a bulk scan.
     """
     from .messages import MessageEngine  # local import to avoid cycle
 

@@ -36,11 +36,14 @@ from its one batched job, and its children's predicate contexts. A
 right child's stats are derived as parent − left on the aligned key
 arrays, and only when that child is scored.
 
-The hub is the fact the batch aggregates. Requirement (checked by
-:func:`star_columns` from the graph alone, before any dimension is
-collected): every feature relation of the hub's cluster is the hub
-itself or directly adjacent to it, and only the hub carries
-annotations. Deeper schemas use the general engine.
+The hub is the fact the batch aggregates, and only the hub carries
+annotations. Every other relation of its cluster is reached along
+many→one edges, so each branch out of the hub is flattened into one
+driver-side table (:func:`~repro.core.residual.flatten`) keyed by the
+hub's first-hop key: a feature any number of hops away groups by that
+key and filters through that table. Only a multi-column first-hop key
+is refused, by :func:`star_columns` from the graph alone, before any
+table is collected.
 
 * **Fixed fact**: without an engine, the hub defaults to a
   snowflake's single fact, and the caller installs its annotated copy
@@ -50,8 +53,8 @@ annotations. Deeper schemas use the general engine.
   ``hub=`` the cluster fact and ``engine=`` the message engine that
   holds the annotations; a snowflake is the one-cluster case, its fact
   annotated with the residual column. Under CPT every split below the
-  root uses only the locked cluster's features, and that cluster is a star,
-  so every node is a star problem over the cluster's *lifted* fact
+  root uses only the locked cluster's features, so every node is a star
+  problem over the cluster's *lifted* fact
   ``L_k`` — F_k's annotation ⊗ the message from each neighbour
   (:meth:`~repro.core.messages.MessageEngine.lifted`), which carries
   Y's lift and the other clusters' update annotations.
@@ -72,13 +75,13 @@ from pyspark.sql import DataFrame
 
 from .join_graph import JoinGraph
 from .messages import MessageEngine
-from .residual import fact_condition
+from .residual import branch, fact_condition, flatten
 from .semiring import PREFIX
 from .split import Split, best_split_np, pick
 from .trainer import TrainParams
 from .tree import DecisionTree, Pred, grow, top_split
 
-#: node context for the star path: relation → predicates on its columns
+#: node context for the star path: branch → predicates on its columns
 PredContext = Dict[str, Tuple[Pred, ...]]
 
 
@@ -148,12 +151,12 @@ class _Dim:
 
 
 def star_columns(graph: JoinGraph, hub: str) -> Dict[str, Tuple[str, Optional[str]]]:
-    """feature → (hub-side grouping column, dimension or None) over the
-    features of ``hub``'s cluster.
+    """feature → (hub-side grouping column, branch or None) over the
+    features of ``hub``'s cluster: a fact-local feature groups by
+    itself, any other by the hub's key to its :func:`branch`.
 
-    Raises ``ValueError`` unless every feature relation of the cluster
-    is the hub or adjacent to it — the star requirement, checked from
-    the graph alone, before any dimension is collected.
+    Raises ``NotImplementedError`` on a multi-column first-hop key,
+    checked from the graph alone, before any table is collected.
     """
     members = graph.clusters()[hub]
     out: Dict[str, Tuple[str, Optional[str]]] = {}
@@ -161,18 +164,20 @@ def star_columns(graph: JoinGraph, hub: str) -> Dict[str, Tuple[str, Optional[st
         if rel == hub:
             out[f] = (f, None)
         elif rel in members:
-            try:
-                out[f] = (graph.edge(hub, rel).keys[0], rel)
-            except ValueError:
-                raise ValueError(
-                    f"feature relation {rel!r} is not adjacent to the "
-                    f"fact {hub!r} — use FactorizedTreeTrainer"
-                ) from None
+            dim = branch(graph, hub, rel)
+            keys = graph.edge(hub, dim).keys
+            if len(keys) != 1:
+                raise NotImplementedError(
+                    f"edge {hub!r} → {dim!r} joins on {list(keys)}: the star "
+                    "path groups and filters by a single-column key"
+                )
+            out[f] = (keys[0], dim)
     return out
 
 
 class StarTreeTrainer:
-    """One-Spark-job-per-node factorized tree training on star schemas."""
+    """One-Spark-job-per-node factorized tree training over one cluster,
+    its branches flattened into a star."""
 
     def __init__(
         self,
@@ -184,8 +189,8 @@ class StarTreeTrainer:
     ) -> None:
         """``hub`` defaults to the single fact of a snowflake; a galaxy
         names a cluster fact and passes the ``engine`` to lift it from.
-        ``tables`` is a dict of driver-side relations to share between
-        trainers; missing dimensions are collected into it."""
+        ``tables`` is a dict of flattened branches to share between
+        trainers; missing ones are collected into it."""
         graph.validate_tree()
         if hub is None:
             if not graph.is_snowflake():
@@ -196,16 +201,17 @@ class StarTreeTrainer:
         self.hub = hub
         self.engine = engine
         self.feature_col = star_columns(graph, hub)
-        # dimensions live on the driver: they are small by the paper's
-        # own premise (<2MB each for Favorita)
-        self.dim_pandas: Dict[str, pd.DataFrame] = {} if tables is None else tables
-        for name in sorted(graph.clusters()[hub] - {hub}):
-            if name not in self.dim_pandas:
-                self.dim_pandas[name] = graph.relations[name].df.toPandas()
         by_dim: Dict[str, List[str]] = {}
         for f, (col, dim) in self.feature_col.items():
             if dim is not None:
                 by_dim.setdefault(dim, []).append(f)
+        # branches live on the driver: a flattened branch has the rows of
+        # its first-hop dimension, small by the paper's own premise
+        # (<2MB each for Favorita)
+        self.dim_pandas: Dict[str, pd.DataFrame] = {} if tables is None else tables
+        for dim in sorted(by_dim):
+            if dim not in self.dim_pandas:
+                self.dim_pandas[dim] = flatten(graph, dim)
         self._dims = {
             dim: _Dim.encode(dim, self.feature_col[fs[0]][0], self.dim_pandas[dim], fs)
             for dim, fs in sorted(by_dim.items())
@@ -442,7 +448,7 @@ class StarTreeTrainer:
 
         def child(state, pred: Pred):
             ctx = state[0]
-            rel = self.graph.feature_relation(pred.feature)
+            rel = self.feature_col[pred.feature][1] or self.hub
             cctx = {**ctx, rel: ctx.get(rel, ()) + (pred,)}
             if pred.left:
                 return cctx, None

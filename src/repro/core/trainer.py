@@ -59,10 +59,6 @@ class TrainParams:
     sql_splits: bool = False
 
 
-#: a node's state: its context and its allowed (feature, relation, numeric)
-_State = Tuple[Context, Tuple[Tuple[str, str, bool], ...]]
-
-
 class FactorizedTreeTrainer:
     """Grow decision trees over normalized data via message passing."""
 
@@ -118,10 +114,13 @@ class FactorizedTreeTrainer:
                     self.engine.message(src, dst, context)
 
     def _candidates(
-        self, state: _State, c_total: float, s_total: float
+        self,
+        context: Context,
+        allowed: Sequence[Tuple[str, str, bool]],
+        c_total: float,
+        s_total: float,
     ) -> List[Optional[Split]]:
         """Each allowed feature's best split at one node (GetBestSplit)."""
-        context, allowed = state
         self._warm_messages(context, allowed)
         if self.params.n_jobs > 1:
             with ThreadPoolExecutor(self.params.n_jobs) as ex:
@@ -139,18 +138,9 @@ class FactorizedTreeTrainer:
         ]
 
     # -- growth ---------------------------------------------------------
-    def train(
-        self, features: Optional[Sequence[str]] = None, cpt: bool = False
-    ) -> DecisionTree:
-        """Train one tree (Algorithm 1, :func:`~repro.core.tree.grow`).
-
-        A node's state is its context and its allowed features.
-        ``cpt=True`` applies Clustered Predicate Trees (Section 4.2.2):
-        below the root, candidate features are restricted to the cluster
-        :meth:`~repro.core.join_graph.JoinGraph.cpt_cluster` picks for
-        the root split, and that cluster fact is recorded on the tree
-        for residual updates.
-        """
+    def train(self, features: Optional[Sequence[str]] = None) -> DecisionTree:
+        """Train one tree (Algorithm 1, :func:`~repro.core.tree.grow`);
+        a node's state is its context."""
         g, p = self.graph, self.params
         if self.mode == "batch":
             self.engine.clear_cache()
@@ -161,22 +151,16 @@ class FactorizedTreeTrainer:
         )
         c0, s0, *_ = self.engine.total({})
 
-        def child(state: _State, pred: Pred) -> _State:
-            ctx, feats = state
-            if cpt and not ctx:  # a child of the root: lock its cluster
-                members = g.clusters()[g.cpt_cluster(pred.feature)]
-                feats = tuple(a for a in feats if a[1] in members)
+        def best(ctx: Context, c: float, s: float) -> List[Optional[Split]]:
+            return self._candidates(ctx, allowed, c, s)
+
+        def child(ctx: Context, pred: Pred) -> Context:
             if self.mode == "batch" and pred.left:
                 # LMFAO-like: no message sharing from one node to the next
                 self.engine.clear_cache()
-            return ctx_with(ctx, g.feature_relation(pred.feature), pred.sql()), feats
+            return ctx_with(ctx, g.feature_relation(pred.feature), pred.sql())
 
-        root: _State = ({}, allowed)
-        split0 = top_split(p, self._candidates(root, c0, s0))
-        tree = grow(p, root, c0, s0, split0, self._candidates, child)
-        if cpt:
-            tree.cluster = g.cpt_cluster(tree.root.split_feature)
-        return tree
+        return grow(p, {}, c0, s0, top_split(p, best({}, c0, s0)), best, child)
 
 
 class NaiveTreeTrainer:

@@ -415,8 +415,13 @@ def _synthetic_update_setup(spark, n_rows: int, k: int, seed: int = 0):
         fact[f"payload_{i}"] = rng.random(n_rows)
     dim = pd.DataFrame({"d": np.arange(1, n_keys + 1)})
     dim["fd"] = dim["d"]  # feature == key: leaves are key ranges
+    # One partition count for every k. Arrow makes a wide frame one
+    # partition per 10 000-row batch and a narrow one a local relation,
+    # and each residual copy keeps its fact's partitioning, so the row
+    # width alone would set the tasks every write pays.
+    fact_df = spark.createDataFrame(fact).repartition(spark.sparkContext.defaultParallelism)
     g = JoinGraph()
-    g.add_relation("F", spark.createDataFrame(fact), y="y")
+    g.add_relation("F", fact_df, y="y")
     g.add_relation("D", spark.createDataFrame(dim), features=["fd"], numeric=["fd"])
     g.add_edge("F", "D", ["d"])
 

@@ -77,15 +77,6 @@ class TestSnowflakeGBM:
         for a, b in zip(res.ensemble.trees, res2.ensemble.trees):
             assert a.to_dict() == b.to_dict()
 
-    def test_slow_path_matches_fast(self, star_int):
-        """General message-passing GBM == batched-star GBM."""
-        g = star_int.graph
-        p = TrainParams(max_leaves=3)
-        fast = GradientBoosting(g, n_iters=2, params=p, fast=True).fit()
-        slow = GradientBoosting(g, n_iters=2, params=p, fast=False).fit()
-        for a, b in zip(fast.ensemble.trees, slow.ensemble.trees):
-            assert a.to_dict() == b.to_dict()
-
     def test_favorita_runs_and_improves(self, favorita_tiny):
         gb = GradientBoosting(
             favorita_tiny.graph, n_iters=3, learning_rate=0.3,
@@ -160,8 +151,8 @@ class TestYInDimension:
 
 
 class TestDeepSnowflake:
-    """A 3-deep snowflake is not a star, so GB grows on the general
-    engine even with ``fast=True``: the one-cluster case of CPT."""
+    """A 3-deep snowflake grows on the star path: ``orders`` is
+    flattened with ``customer`` into one branch keyed by ``l_orderkey``."""
 
     @pytest.fixture(scope="class")
     def chain_fit(self, chain_graph):

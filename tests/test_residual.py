@@ -13,9 +13,11 @@ from repro.core.gbm import GradientBoosting
 from repro.core.join_graph import JoinGraph
 from repro.core.residual import (
     SnowflakeResidualUpdater,
+    branch,
+    fact_condition,
+    flatten,
     key_filter,
     leaf_condition,
-    push_keys_to,
 )
 from repro.core.semiring import PREFIX, VarianceSemiring
 from repro.core.star_trainer import StarTreeTrainer
@@ -39,38 +41,57 @@ def fav_tree(favorita_tiny):
     return st.train()
 
 
+def _leaf(*preds: Pred) -> Node:
+    return Node(0, len(preds), preds=list(preds))
+
+
+def _wide_matches(wide: pd.DataFrame, preds) -> int:
+    """``R⋈`` rows that satisfy every predicate."""
+    m = np.ones(len(wide), dtype=bool)
+    for p in preds:
+        m &= p.mask(wide)
+    return int(m.sum())
+
+
 class TestPushDown:
+    """A pushed-down predicate selects, on a snowflake's fact (1-1 with
+    ``R⋈``), exactly the rows whose ``R⋈`` rows the predicate masks."""
+
     def test_push_one_hop(self, favorita_tiny):
         g = favorita_tiny.graph
         preds = [Pred("f_store", 500, True, True)]
-        key, values = push_keys_to(g, "sales", "stores", preds)
-        assert key == "store_id"
-        dim = favorita_tiny.dims["stores"]
-        expect = set(dim.loc[dim["f_store"] <= 500, "store_id"])
-        assert set(values) == expect
+        cond = fact_condition(g, "sales", {"stores": preds}, favorita_tiny.dims)
+        n = g.relations["sales"].df.filter(cond).count()
+        assert n == _wide_matches(favorita_tiny.wide_pandas(), preds) > 0
 
     def test_push_with_pandas_tables(self, favorita_tiny):
+        """A flattened one-hop branch is the dimension projected to its
+        keys and features, and filters like the whole dimension."""
         g = favorita_tiny.graph
-        preds = [Pred("f_item", 300, True, False)]
-        k1, v1 = push_keys_to(g, "sales", "items", preds)
-        k2, v2 = push_keys_to(
-            g, "sales", "items", preds, tables=favorita_tiny.dims
-        )
-        assert k1 == k2 and set(v1) == set(v2)
+        items = flatten(g, "items")
+        assert list(items.columns) == ["item_id", *g.relations["items"].features]
+        leaf = _leaf(Pred("f_item", 300, True, False))
+        fact = g.relations["sales"].df
+        n1 = fact.filter(leaf_condition(g, "sales", leaf, {"items": items})).count()
+        n2 = fact.filter(leaf_condition(g, "sales", leaf, favorita_tiny.dims)).count()
+        assert n1 == n2 == _wide_matches(favorita_tiny.wide_pandas(), leaf.preds)
 
     def test_push_two_hops(self, chain_graph):
-        """customer predicate → orders keys → lineitem keys (§4.1 chain)."""
-        preds = [Pred("c_acctbal", 0.0, True, False)]  # c_acctbal > 0
-        key, values = push_keys_to(chain_graph, "lineitem", "customer", preds)
-        assert key == "l_orderkey"
+        """A customer predicate filters lineitem by ``l_orderkey`` through
+        ``orders`` flattened with ``customer`` (§4.1 chain)."""
+        assert branch(chain_graph, "lineitem", "customer") == "orders"
+        assert branch(chain_graph, "lineitem", "lineitem") == "lineitem"
+        orders = flatten(chain_graph, "orders")
+        assert len(orders) == chain_graph.relations["orders"].df.count()
+        tables = {"orders": orders}
         wide = chain_graph.materialize().toPandas()
-        expect = set(wide.loc[wide["c_acctbal"] > 0, "l_orderkey"])
-        # the pushed keys are a *filter*: they may include orders with no
-        # lineitems (harmless), but must cover exactly the matching fact rows
-        assert expect <= set(values)
         fact = chain_graph.relations["lineitem"].df
-        n = fact.filter(F.col(key).isin(list(values))).count()
-        assert n == int((wide["c_acctbal"] > 0).sum())
+        for preds in (
+            [Pred("c_acctbal", 0.0, True, False)],
+            [Pred("c_acctbal", 0.0, True, False), Pred("o_totalprice", 2e5, True, True)],
+        ):
+            n = fact.filter(leaf_condition(chain_graph, "lineitem", _leaf(*preds), tables)).count()
+            assert n == _wide_matches(wide, preds) > 0
 
     def test_leaf_condition_matches_wide_semantics(self, favorita_tiny, fav_tree):
         """Fact rows matching the pushed condition == wide rows matching
@@ -122,10 +143,8 @@ class TestKeyFilter:
         g, wide = star_str
         pred = Pred("fd", 5, True, True)
         sel = wide[wide["fd"] <= 5]
-        leaf = Node(0, 1, preds=[pred])
-        for tables in (None, {"dim": g.relations["dim"].df.toPandas()}):
-            cond = leaf_condition(g, "fact", leaf, tables)
-            assert g.relations["fact"].df.filter(cond).count() == len(sel)
+        cond = leaf_condition(g, "fact", _leaf(pred), {"dim": flatten(g, "dim")})
+        assert g.relations["fact"].df.filter(cond).count() == len(sel)
         st = StarTreeTrainer(g, TrainParams(max_leaves=4))
         st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["fact"].df, "y"))
         cols = st._grouping_cols(["fd"])
@@ -159,9 +178,7 @@ class TestKeyFilter:
         store keys: the fact filter must be FALSE, not a parse error."""
         g = favorita_tiny.graph
         pred = Pred("f_store", 0, True, True)
-        _, values = push_keys_to(g, "sales", "stores", [pred], favorita_tiny.dims)
-        assert values == []
-        cond = leaf_condition(g, "sales", Node(0, 1, preds=[pred]), favorita_tiny.dims)
+        cond = leaf_condition(g, "sales", _leaf(pred), favorita_tiny.dims)
         assert g.relations["sales"].df.filter(cond).count() == 0
         st = StarTreeTrainer(g, TrainParams(max_leaves=4))
         st.set_fact(VarianceSemiring(track_q=False).lift(g.relations["sales"].df, "y"))
@@ -170,10 +187,12 @@ class TestKeyFilter:
         assert (stats.c, stats.s) == (0.0, 0.0)
 
     def test_empty_intermediate_hop(self, chain_graph):
-        """An empty key set mid-path (Spark hop, no driver tables)."""
-        preds = [Pred("c_acctbal", -1e12, True, True)]
-        key, values = push_keys_to(chain_graph, "lineitem", "customer", preds)
-        assert key == "l_orderkey" and values == []
+        """A two-hop predicate no customer meets leaves no ``orders`` key
+        in the flattened branch: the fact filter is FALSE."""
+        leaf = _leaf(Pred("c_acctbal", -1e12, True, True))
+        tables = {"orders": flatten(chain_graph, "orders")}
+        cond = leaf_condition(chain_graph, "lineitem", leaf, tables)
+        assert chain_graph.relations["lineitem"].df.filter(cond).count() == 0
 
 
 class TestNoPerLiteralMarshalling:
@@ -204,7 +223,8 @@ class TestNoPerLiteralMarshalling:
             assert a.to_dict() == b.to_dict()
 
     def test_galaxy_update_runs(self, no_isin, imdb_tiny):
-        """The galaxy annotation update pushes keys through Spark hops."""
+        """The galaxy annotation update pushes its leaf keys through
+        driver-side tables as SQL ``IN`` strings."""
         res = GradientBoosting(
             imdb_tiny.graph, n_iters=1, learning_rate=0.3,
             params=TrainParams(max_leaves=3), track_rmse=True,
@@ -214,7 +234,7 @@ class TestNoPerLiteralMarshalling:
         assert res.logs[-1].rmse == pytest.approx(expect, rel=1e-6)
 
 
-def _make_updater(favorita_tiny, strategy, payload=(), dim_pandas=None):
+def _make_updater(favorita_tiny, strategy, payload=()):
     g = favorita_tiny.graph
     fact_df = g.relations["sales"].df
     needed = ["store_id", "item_id", "date_id"]
@@ -228,7 +248,7 @@ def _make_updater(favorita_tiny, strategy, payload=(), dim_pandas=None):
         learning_rate=0.1,
         payload_cols=payload,
         needed_cols=needed,
-        dim_pandas=dim_pandas,
+        dim_pandas=favorita_tiny.dims,
     )
 
 
@@ -236,7 +256,7 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy", ["naive", "create", "swap"])
     def test_residual_matches_oracle(self, favorita_tiny, fav_tree, strategy):
         """After one update, per-row residual == y − lr·p(leaf)."""
-        upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+        upd = _make_updater(favorita_tiny, strategy)
         upd.update(fav_tree)
         got = (
             upd.current.select("store_id", "item_id", "date_id", PREFIX + "s")
@@ -264,7 +284,7 @@ class TestStrategies:
     def test_strategies_agree(self, favorita_tiny, fav_tree):
         results = {}
         for strategy in ("naive", "create", "swap"):
-            upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+            upd = _make_updater(favorita_tiny, strategy)
             upd.update(fav_tree)
             results[strategy] = (
                 upd.current.select(PREFIX + "s")
@@ -282,7 +302,7 @@ class TestStrategies:
         fact_df = g.relations["sales"].df.withColumn("payload_0", F.lit(1.0))
         kw = dict(
             graph=g, fact="sales", fact_df=fact_df, y="y", base_score=0.0,
-            payload_cols=["payload_0"],
+            dim_pandas=favorita_tiny.dims, payload_cols=["payload_0"],
             needed_cols=["store_id", "item_id", "date_id"],
         )
         swap = SnowflakeResidualUpdater(strategy="swap", **kw)
@@ -296,7 +316,7 @@ class TestStrategies:
         g = favorita_tiny.graph
         upd = SnowflakeResidualUpdater(
             graph=g, fact="sales", fact_df=g.relations["sales"].df, y="y",
-            base_score=100.0, strategy="swap",
+            base_score=100.0, dim_pandas=favorita_tiny.dims, strategy="swap",
             needed_cols=["store_id", "item_id", "date_id"],
         )
         s = upd.current.agg(F.sum(PREFIX + "s")).collect()[0][0]
@@ -320,7 +340,7 @@ class TestStrategies:
             upd.close()
 
     def test_update_timing_recorded(self, favorita_tiny, fav_tree):
-        upd = _make_updater(favorita_tiny, "swap", dim_pandas=favorita_tiny.dims)
+        upd = _make_updater(favorita_tiny, "swap")
         upd.update(fav_tree)
         assert upd.last_update_seconds > 0
         upd.close()
@@ -329,7 +349,7 @@ class TestStrategies:
     def test_two_updates_then_one_read(self, favorita_tiny, fav_tree, strategy):
         """A copy nothing has read yet still feeds the next update: the
         read after two updates fills both and sees y − 2·lr·p(leaf)."""
-        upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+        upd = _make_updater(favorita_tiny, strategy)
         upd.update(fav_tree)
         upd.update(fav_tree)
         keys = ["store_id", "item_id", "date_id"]
@@ -352,7 +372,7 @@ class TestStrategies:
         constructor too) only plans its copy; the copy's first reader
         fills it."""
         first = next_job_id()
-        upd = _make_updater(favorita_tiny, strategy, dim_pandas=favorita_tiny.dims)
+        upd = _make_updater(favorita_tiny, strategy)
         upd.update(fav_tree)
         assert next_job_id() == first
         assert upd.current.count() == len(favorita_tiny.fact)
@@ -368,8 +388,35 @@ class TestStrategies:
             time.sleep(0.05)
             return leaf_condition(*args, **kwargs)
 
-        upd = _make_updater(favorita_tiny, "swap", dim_pandas=favorita_tiny.dims)
+        upd = _make_updater(favorita_tiny, "swap")
         monkeypatch.setattr(residual, "leaf_condition", slow)
         upd.update(fav_tree)
         assert upd.last_update_seconds >= 0.05 * fav_tree.n_leaves()
         upd.close()
+
+
+def test_t8_facts_share_one_partition_count(spark):
+    """T8 builds every k's fact with the same partition count, so a
+    write's task count does not depend on the payload width. Small Arrow
+    batches and a local-relation threshold between the k=0 and k=10
+    frames' sizes make the wide frame many partitions and the narrow one
+    a local relation, as at T8's 1M rows."""
+    from repro.experiments.tables import _synthetic_update_setup
+
+    conf = {
+        "spark.sql.execution.arrow.maxRecordsPerBatch": "100",
+        "spark.sql.execution.arrow.localRelationThreshold": "200000",
+    }
+    saved = {k: spark.conf.get(k, None) for k in conf}
+    try:
+        for k, v in conf.items():
+            spark.conf.set(k, v)
+        parts = {
+            k: _synthetic_update_setup(spark, 4000, k)[0]
+            .relations["F"].df.rdd.getNumPartitions()
+            for k in (0, 10)
+        }
+    finally:
+        for k, v in saved.items():
+            spark.conf.unset(k) if v is None else spark.conf.set(k, v)
+    assert parts[0] == parts[10] == spark.sparkContext.defaultParallelism

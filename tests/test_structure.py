@@ -6,7 +6,8 @@ the independent reference the parity tests compare it against. Any
 other module importing ``heapq`` is a further copy.
 
 The star trainer absorbs messages on integer codes, not with per-node
-pandas relational operations.
+pandas relational operations. Boosting and forests use only the star
+engine, and predicate push-down collects nothing from Spark.
 """
 import pathlib
 import re
@@ -29,3 +30,18 @@ def test_star_trainer_absorbs_without_pandas_relational_ops():
     ``merge``, ``groupby`` or frame sort."""
     src = (SRC / "repro" / "core" / "star_trainer.py").read_text()
     assert re.findall(r"\.(merge|groupby|sort_values)\(", src) == []
+
+
+def test_boosting_and_forest_use_only_the_star_engine():
+    """GB and RF grow every tree on the star path; the general engine
+    serves only the query-census and ablation tables."""
+    for name in ("gbm.py", "rf.py"):
+        src = (SRC / "repro" / "core" / name).read_text()
+        assert "FactorizedTreeTrainer" not in src, name
+
+
+def test_push_down_runs_no_spark_job():
+    """Predicate push-down masks driver-side tables; no key set is
+    collected from Spark."""
+    src = (SRC / "repro" / "core" / "residual.py").read_text()
+    assert ".collect(" not in src

@@ -164,6 +164,19 @@ class TestFactorizedModes:
         assert tr.engine.stats.message_cache_hits > 0
 
 
+def _strip(d):
+    """A tree's structure with leaf values rounded: float y allows
+    leaf-value jitter, structures must agree."""
+    if "leaf" in d:
+        return {"leaf": round(d["leaf"], 4)}
+    return {
+        "feature": d["feature"],
+        "value": d["value"],
+        "left": _strip(d["left"]),
+        "right": _strip(d["right"]),
+    }
+
+
 class TestChainTraining:
     def test_chain_parity_with_naive(self, chain_graph):
         p = TrainParams(max_leaves=3)
@@ -175,24 +188,21 @@ class TestChainTraining:
         nv = NaiveTreeTrainer(chain_graph, p)
         t2 = nv.train()
         nv.close()
-        d1, d2 = t1.to_dict(), t2.to_dict()
-        # float y: allow leaf-value jitter, structures must agree
+        assert _strip(t1.to_dict()) == _strip(t2.to_dict())
 
-        def strip(d):
-            if "leaf" in d:
-                return {"leaf": round(d["leaf"], 4)}
-            return {
-                "feature": d["feature"],
-                "value": d["value"],
-                "left": strip(d["left"]),
-                "right": strip(d["right"]),
-            }
-
-        assert strip(d1) == strip(d2)
-
-    def test_star_trainer_rejects_chain(self, chain_graph):
-        with pytest.raises(ValueError, match="not adjacent"):
-            StarTreeTrainer(chain_graph, PARAMS)
+    def test_star_trainer_chain_parity_with_naive(self, chain_graph):
+        """``c_acctbal`` and ``c_mktsegment``, two hops from the fact,
+        come from the flattened ``orders`` branch."""
+        p = TrainParams(max_leaves=3)
+        star = StarTreeTrainer(chain_graph, p)
+        assert star.feature_col["c_acctbal"] == ("l_orderkey", "orders")
+        fact = chain_graph.relations["lineitem"].df
+        star.set_fact(VarianceSemiring(track_q=False).lift(fact, "l_quantity"))
+        t1 = star.train()
+        nv = NaiveTreeTrainer(chain_graph, p)
+        t2 = nv.train()
+        nv.close()
+        assert _strip(t1.to_dict()) == _strip(t2.to_dict())
 
 
 class TestDepthAndGainLimits:
